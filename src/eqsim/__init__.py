@@ -2,8 +2,8 @@
 
 A library implementing the non-graphics core of a parallel rendering
 framework: reliable UDP multicast with versioned distributed objects,
-compound-tree task decomposition with runtime load-balancing equalizers,
-and a deterministic synthetic-workload simulator to exercise it all.
+compound-tree task decomposition and compositing, and a deterministic
+network simulator to exercise the multicast protocol.
 
 Subpackages
 -----------
@@ -11,20 +11,13 @@ codec      byte streams, chunking, compression engine registry
 net        unicast connections, the reliable multicast protocol, nodes
 objects    versioned master/slave objects, barriers, queues, object maps
 compound   config parsing, channel derivation, task generation, compositing
-equalizer  runtime split/resolution/framerate controllers
-simbench   synthetic render workloads and the benchmark entry points
 
 Quick start
 -----------
->>> import eqsim
->>> cfg = eqsim.parse_config('compound { channel "dest" }')
->>> tasks = eqsim.generate_tasks(cfg.compounds[0], frame=0)
-
-The `eqsim` command line exposes the benchmarks:
-
-    eqsim codec-bench --corpus builtin:sparse --out bench.csv
-    eqsim rsp-bench --members 3 --size 1000000 --loss 0.02 --seed 7
-    eqsim config-check myconfig.eqc
+>>> from eqsim.compound import generate_tasks, parse_config
+>>> cfg = parse_config('compound { channel "dest" }')
+>>> [task.channel for task in generate_tasks(cfg.compounds[0], frame=0)]
+['dest']
 """
 
 from .codec import (
@@ -40,13 +33,3 @@ from .codec import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # heavier subsystem entry points are re-exported lazily so that
-    # importing eqsim for the codec alone stays cheap
-    from . import compound, equalizer, net, objects, simbench  # noqa: F401
-
-    for mod in (compound, equalizer, net, objects, simbench):
-        if hasattr(mod, name):
-            return getattr(mod, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,9 @@ type are counted and reported, not fatal.
 
 Frame layout: u32 LE frame length | u16 command type | u32 request id |
 payload.  Request id 0 means fire-and-forget; nonzero ids correlate a
-blocking `request` with its REPLY.
+blocking `request` with its REPLY.  A request still pending when its
+peer's connection ends, or when the local node closes, fails at once with
+ConnectionClosedError.
 """
 
 from __future__ import annotations
@@ -82,9 +84,10 @@ class RemoteNode:
 
 @dataclass
 class _Waiter:
+    peer: RemoteNode
     event: threading.Event = field(default_factory=threading.Event)
     payload: bytes = b""
-    error: Optional[str] = None
+    error: Optional[Exception] = None
 
 
 class LocalNode:
@@ -190,6 +193,7 @@ class LocalNode:
         peer.alive = False
         with self._lock:
             self._peers.pop(peer.node_id, None)
+        self._fail_waiters(peer)
         for cb in list(self.peer_disconnected_callbacks):
             cb(peer)
 
@@ -199,15 +203,28 @@ class LocalNode:
         if waiter is None:
             return
         if cmd_type == CMD_REPLY_ERROR:
-            waiter.error = payload.decode("utf-8", "replace")
+            waiter.error = RemoteError(payload.decode("utf-8", "replace"))
         else:
             waiter.payload = payload
         waiter.event.set()
 
+    def _fail_waiters(self, peer: Optional[RemoteNode]) -> None:
+        """Fail the pending requests to `peer`, or to every peer if None."""
+        with self._lock:
+            lost = [rid for rid, w in self._waiters.items() if peer is None or w.peer is peer]
+            waiters = [self._waiters.pop(rid) for rid in lost]
+        for waiter in waiters:
+            waiter.error = ConnectionClosedError(f"connection to {waiter.peer.node_id} lost")
+            waiter.event.set()
+
     def _request(self, peer: RemoteNode, cmd_type: int, payload: bytes, timeout: float) -> bytes:
         request_id = next(self._request_ids)
-        waiter = _Waiter()
+        waiter = _Waiter(peer)
         with self._lock:
+            # a peer is marked dead before its waiters are failed, so a
+            # waiter registered after that sweep is refused here
+            if self._closed or not peer.alive:
+                raise ConnectionClosedError(f"connection to {peer.node_id} lost")
             self._waiters[request_id] = waiter
         peer.send_raw(cmd_type, request_id, payload)
         if not waiter.event.wait(timeout):
@@ -215,7 +232,7 @@ class LocalNode:
                 self._waiters.pop(request_id, None)
             raise TimeoutError(f"request {cmd_type} to {peer.node_id} timed out")
         if waiter.error is not None:
-            raise RemoteError(waiter.error)
+            raise waiter.error
         return waiter.payload
 
     def close(self) -> None:
@@ -224,6 +241,7 @@ class LocalNode:
             listener.close()
         for peer in self.peers:
             peer.close()
+        self._fail_waiters(None)
         for _, thread in self._listeners:
             thread.join(timeout=2.0)
         for thread in self._peer_threads:

@@ -44,7 +44,12 @@ class UdpMulticastTransport:
         self._sock = sock
 
     def send(self, raw: bytes) -> None:
-        self._sock.sendto(raw, (self.group, self.port))
+        try:
+            self._sock.sendto(raw, (self.group, self.port))
+        except OSError:
+            # the 1 ms socket timeout also bounds sends: a full send buffer
+            # drops the datagram, and the protocol recovers it as a loss
+            pass
 
     def recv(self) -> Optional[bytes]:
         try:

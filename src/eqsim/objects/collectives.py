@@ -14,6 +14,7 @@ from collections import deque
 from typing import Optional
 
 from ..codec.streams import InputStream, OutputStream
+from ..net.connection import TransportError
 from ..net.node import Command, RemoteError, RemoteNode
 from .base import (
     VERSION_HEAD,
@@ -170,7 +171,7 @@ class BarrierSlave:
         self._round += 1
         try:
             self.master.request(CMD_BARRIER_ENTER, payload, timeout=timeout)
-        except RemoteError as exc:
+        except (RemoteError, TransportError) as exc:
             raise BarrierError(str(exc)) from exc
 
 

@@ -10,26 +10,26 @@ mapped, one broadcast replaces the per-slave unicasts, and idle nodes
 cache snooped instance payloads.
 
 Instance and delta payloads are chunked byte streams (optionally
-compressed per chunk) produced by the codec layer's output streams.
+compressed per chunk) produced by the codec layer's output streams.  A
+commit serializes the instance once, in this wire form; the history of
+buffered objects keeps that payload per version, and it serves the push,
+the map reply and the catch-up pushes to a slave mapped behind head.
 """
 
 from __future__ import annotations
 
+import bisect
 import struct
 import threading
 import uuid
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from ..codec.engines import CompressionEngine
-from ..codec.streams import (
-    DEFAULT_CHUNK_SIZE,
-    InputStream,
-    OutputStream,
-    iter_frames,
-    unframe_chunk,
-)
+from ..codec.streams import DEFAULT_CHUNK_SIZE, InputStream, OutputStream, iter_frames
+from ..net.connection import TransportError
 from ..net.node import Command, LocalNode, RemoteError, RemoteNode
 from .base import (
     VERSION_FIRST,
@@ -66,7 +66,7 @@ class _MasterEntry:
     obj: DistributedObject
     change_type: ChangeType
     version: int = VERSION_NONE
-    history: OrderedDict = field(default_factory=OrderedDict)  # version -> instance bytes
+    history: OrderedDict = field(default_factory=OrderedDict)  # version -> wire-form instance
     slaves: dict = field(default_factory=dict)                 # node uuid -> RemoteNode
     synced: dict = field(default_factory=dict)                 # node uuid -> version
 
@@ -77,7 +77,7 @@ class _SlaveEntry:
     change_type: ChangeType
     master: RemoteNode
     version: int = VERSION_NONE
-    queue: deque = field(default_factory=deque)  # (version, kind, mask, blob)
+    queue: deque = field(default_factory=deque)  # (version, kind, mask, blob), by version
 
 
 class ObjectManager:
@@ -90,7 +90,6 @@ class ObjectManager:
         engine: Optional[CompressionEngine] = None,
         preload: bool = False,
         history_depth: int = 60,
-        buffered: bool = True,
         cache_capacity: int = 64 << 20,
     ):
         self.node = node
@@ -98,8 +97,6 @@ class ObjectManager:
         self.engine = engine
         self.preload = preload
         self.history_depth = history_depth
-        #: reuse serialized (and compressed) buffers across slaves
-        self.buffered = buffered
         self.cache = InstanceCache(cache_capacity)
         self.hub: Optional["MulticastHub"] = None
 
@@ -130,20 +127,16 @@ class ObjectManager:
 
     # --- serialization helpers ----------------------------------------------
 
-    def _serialize(self, write, compress: bool = True) -> bytes:
+    def _serialize(self, write, engine: Optional[CompressionEngine]) -> bytes:
         parts: list[bytes] = []
-        out = OutputStream(
-            parts.append,
-            chunk_size=self.chunk_size,
-            engine=self.engine if compress else None,
-        )
+        out = OutputStream(parts.append, chunk_size=self.chunk_size, engine=engine)
         write(out)
         out.flush()
         return b"".join(parts)
 
-    def instance_data(self, obj: DistributedObject, compress: bool = False) -> bytes:
-        """Serialized full state; uncompressed form is the snapshot oracle."""
-        return self._serialize(obj.serialize_instance, compress)
+    def instance_data(self, obj: DistributedObject) -> bytes:
+        """Uncompressed serialized full state: the snapshot oracle."""
+        return self._serialize(obj.serialize_instance, None)
 
     def _apply(self, obj: DistributedObject, blob: bytes, kind: int, mask: int) -> None:
         stream = InputStream(iter_frames(blob))
@@ -178,7 +171,7 @@ class ObjectManager:
             obj._manager = None
 
     def _preload(self, object_id: uuid.UUID, obj: DistributedObject) -> None:
-        blob = self.instance_data(obj, compress=self.engine is not None)
+        blob = self._serialize(obj.serialize_instance, self.engine)
         payload = _PUSH_HEAD.pack(object_id.bytes, obj.version, KIND_INSTANCE, 0) + blob
         if self.hub is not None and self.hub.covers(self._peer_ids()):
             self.hub.broadcast(self.node.node_id, CMD_OBJ_PRELOAD, payload)
@@ -218,12 +211,12 @@ class ObjectManager:
         req += b"".join(struct.pack("<Q", v) for v in cached_versions)
         try:
             reply = master.request(CMD_OBJ_MAP, req, timeout=timeout)
-        except (RemoteError, TimeoutError) as exc:
+        except (RemoteError, TimeoutError, TransportError) as exc:
             with self._lock:
                 self._slaves.pop(object_id, None)
-            if isinstance(exc, TimeoutError):
-                raise
-            raise VersionError(str(exc)) from exc
+            if isinstance(exc, RemoteError):
+                raise VersionError(str(exc)) from exc
+            raise
 
         mapped_version, change_type, _, used_cache = struct.unpack_from("<QBBB", reply)
         blob = reply[11:]
@@ -245,8 +238,8 @@ class ObjectManager:
         with self._lock:
             entry.change_type = obj.change_type
             entry.version = mapped_version
-            while entry.queue and entry.queue[0][0] <= mapped_version:
-                entry.queue.popleft()  # already contained in the mapped instance
+            # drop what the mapped instance contains
+            entry.queue = deque(p for p in entry.queue if p[0] > mapped_version)
         return mapped_version
 
     def unmap_object(self, obj: DistributedObject) -> None:
@@ -259,7 +252,9 @@ class ObjectManager:
 
     # --- commit / sync ---------------------------------------------------------
 
-    def commit(self, obj: DistributedObject, max_queued: Optional[int] = None, timeout: float = 30.0) -> int:
+    def commit(
+        self, obj: DistributedObject, max_queued: Optional[int] = None, timeout: Optional[float] = 30.0
+    ) -> int:
         with self._lock:
             entry = self._masters.get(obj.object_id)
             if entry is None:
@@ -274,22 +269,22 @@ class ObjectManager:
             if max_queued is not None:
                 if max_queued < 1:
                     raise ValueError("max_queued must be at least 1")
-                deadline = threading.TIMEOUT_MAX if timeout is None else timeout
-                self._wait_for_tokens(entry, max_queued, deadline)
+                self._wait_for_tokens(entry, max_queued, timeout)
 
             entry.version += 1
             version = entry.version
             mask = obj.dirty_mask if isinstance(obj, Serializable) else 0
 
+            instance = self._serialize(obj.serialize_instance, self.engine)
             if entry.change_type is ChangeType.DELTA:
                 kind = KIND_DELTA
-                payload_blob = self._serialize(obj.serialize_delta)
+                payload_blob = self._serialize(obj.serialize_delta, self.engine)
             else:
                 kind = KIND_INSTANCE
-                payload_blob = self._serialize(obj.serialize_instance)
+                payload_blob = instance
 
             if entry.change_type.buffered:
-                entry.history[version] = self.instance_data(obj)
+                entry.history[version] = instance
                 while len(entry.history) > self.history_depth:
                     entry.history.popitem(last=False)
 
@@ -300,10 +295,10 @@ class ObjectManager:
 
             push = _PUSH_HEAD.pack(obj.object_id.bytes, version, kind, mask) + payload_blob
             slaves = dict(entry.slaves)
-        self._push(obj.object_id, push, slaves)
+        self._push(push, slaves)
         return version
 
-    def _wait_for_tokens(self, entry: _MasterEntry, max_queued: int, timeout: float) -> None:
+    def _wait_for_tokens(self, entry: _MasterEntry, max_queued: int, timeout: Optional[float]) -> None:
         # one token per slave and version, returned when the slave syncs
         def blocked_slaves():
             return [
@@ -312,20 +307,16 @@ class ObjectManager:
                 if entry.version + 1 - synced > max_queued
             ]
 
-        waited = 0.0
-        while True:
-            blocked = blocked_slaves()
-            if not blocked:
-                return
-            gone = [n for n in blocked if n not in {p.node_id for p in self.node.peers}]
-            if gone:
-                raise SlaveDisconnectedError(f"slaves disconnected while blocking commit: {gone}")
-            if waited >= timeout:
-                raise TimeoutError(f"commit blocked on slaves {blocked}")
-            self._cond.wait(0.05)
-            waited += 0.05
+        def gone_slaves():
+            return [n for n in blocked_slaves() if n not in self._peer_ids()]
 
-    def _push(self, object_id: uuid.UUID, payload: bytes, slaves: dict) -> None:
+        if not self._cond.wait_for(lambda: not blocked_slaves() or gone_slaves(), timeout):
+            raise TimeoutError(f"commit blocked on slaves {blocked_slaves()}")
+        gone = gone_slaves()
+        if gone:
+            raise SlaveDisconnectedError(f"slaves disconnected while blocking commit: {gone}")
+
+    def _push(self, payload: bytes, slaves: dict) -> None:
         if not slaves:
             return
         self.counters["bytes_pushed"] += len(payload)
@@ -355,32 +346,31 @@ class ObjectManager:
                 raise VersionError(
                     f"slave versions only advance: at {entry.version}, requested {resolved}"
                 )
-            waited = 0.0
-            while not entry.queue or entry.queue[-1][0] < resolved:
+
+            def arrived():
+                # the queue is ordered by version, so versions entry.version
+                # + 1 .. resolved are all queued when the n-th one is resolved
+                n = resolved - entry.version
+                return len(entry.queue) >= n > 0 and entry.queue[n - 1][0] == resolved
+
+            if not self._cond.wait_for(
+                lambda: arrived() or resolved == entry.version or not entry.master.alive, timeout
+            ):
+                raise TimeoutError(f"version {resolved} never arrived (at {entry.version})")
+            if not arrived():
                 if not entry.master.alive:
                     raise SlaveDisconnectedError("master node disconnected")
-                if resolved == entry.version:
-                    return entry.version  # no-op sync
-                if waited >= timeout:
-                    raise TimeoutError(f"version {resolved} never arrived (at {entry.version})")
-                self._cond.wait(0.05)
-                waited += 0.05
-            applied = entry.version
-            while entry.queue and entry.queue[0][0] <= resolved:
+                return entry.version  # no-op sync
+            while entry.version < resolved:
                 version, kind, mask, blob = entry.queue.popleft()
-                if version != entry.version + 1:
-                    raise VersionError(
-                        f"commit stream gap: expected {entry.version + 1}, got {version}"
-                    )
                 self._apply(entry.obj, blob, kind, mask)
                 entry.version = version
                 obj.version = version
-                applied = version
                 if entry.master.alive:
                     entry.master.send_command(
                         CMD_OBJ_TOKEN, obj.object_id.bytes + struct.pack("<Q", version)
                     )
-            return applied
+            return resolved
 
     # --- command handlers -------------------------------------------------------
 
@@ -390,7 +380,7 @@ class ObjectManager:
             try:
                 if peer.request(CMD_OBJ_LOCATE, object_id.bytes, timeout=timeout) == b"\x01":
                     return peer
-            except (RemoteError, TimeoutError):
+            except (RemoteError, TimeoutError, TransportError):
                 continue
         raise UnknownObjectError(f"no reachable master for {object_id}")
 
@@ -433,34 +423,34 @@ class ObjectManager:
                 return
             entry.slaves[cmd.peer.node_id] = cmd.peer
             entry.synced[cmd.peer.node_id] = version
+            catch_ups = [
+                _PUSH_HEAD.pack(raw_id, newer, KIND_INSTANCE, 0) + blob
+                for newer, blob in entry.history.items()
+                if newer > version
+            ]
             if version in cached:
-                cmd.reply(struct.pack("<QBBB", version, entry.change_type, 0, 1))
-                return
-            if version == entry.version:
-                blob = self.instance_data(entry.obj, compress=self.engine is not None)
+                reply = struct.pack("<QBBB", version, entry.change_type, 0, 1)
             else:
-                # historic snapshots are stored uncompressed; wrap as-is
-                blob = self._reserialize_history(entry.history[version])
-            self.counters["instance_payloads_sent"] += 1
-        cmd.reply(struct.pack("<QBBB", version, entry.change_type, 0, 0) + blob)
-
-    def _reserialize_history(self, snapshot: bytes) -> bytes:
-        if self.engine is None:
-            return snapshot
-        raw = b"".join(unframe_chunk(c) for c in iter_frames(snapshot))
-        parts: list[bytes] = []
-        out = OutputStream(parts.append, chunk_size=self.chunk_size, engine=self.engine)
-        out.write(raw)
-        out.flush()
-        return b"".join(parts)
+                blob = entry.history.get(version)
+                if blob is None:  # static, unbuffered or never committed
+                    blob = self._serialize(entry.obj.serialize_instance, self.engine)
+                self.counters["instance_payloads_sent"] += 1
+                reply = struct.pack("<QBBB", version, entry.change_type, 0, 0) + blob
+        # versions (mapped, head] go out before the reply, so that the slave
+        # can sync past them; a later commit's push may overtake them, and the
+        # slave's queue puts it back in order
+        for push in catch_ups:
+            self._push(push, {cmd.peer.node_id: cmd.peer})
+        cmd.reply(reply)
 
     def _on_unmap(self, cmd: Command) -> None:
         object_id = uuid.UUID(bytes=cmd.payload)
-        with self._lock:
+        with self._cond:
             entry = self._masters.get(object_id)
             if entry is not None:
                 entry.slaves.pop(cmd.peer.node_id, None)
                 entry.synced.pop(cmd.peer.node_id, None)
+                self._cond.notify_all()  # a commit may be blocked on this slave
 
     def _on_push(self, cmd: Command) -> None:
         self._handle_push(cmd.payload, via_multicast=False)
@@ -476,7 +466,13 @@ class ObjectManager:
                     # snooping: cache instance payloads for unmapped objects
                     self.cache.put(object_id, version, blob)
                 return
-            entry.queue.append((version, kind, mask, blob))
+            # a hub push can overtake unicast pushes sent earlier, and a commit
+            # racing a map reaches the slave both by hub and as a catch-up:
+            # keep the queue ordered, newer than the slave and each version once
+            i = bisect.bisect_left(entry.queue, version, key=itemgetter(0))
+            if version <= entry.version or (i < len(entry.queue) and entry.queue[i][0] == version):
+                return
+            entry.queue.insert(i, (version, kind, mask, blob))
             self._cond.notify_all()
 
     def _on_token(self, cmd: Command) -> None:

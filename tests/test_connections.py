@@ -198,3 +198,21 @@ def test_two_peers_interleaved_per_peer_order():
     hub.close()
     for c in clients:
         c.close()
+
+
+@pytest.mark.parametrize("closing", ["peer", "local"])
+def test_pending_request_fails_at_once_when_connection_lost(closing):
+    a, b, peer = make_node_pair()
+    a.register_handler(CMD_PING, lambda cmd: None)  # never replies
+    closer = threading.Timer(0.2, (a if closing == "peer" else b).close)
+    closer.start()
+    t0 = time.monotonic()
+    with pytest.raises(ConnectionClosedError):
+        peer.request(CMD_PING, b"", timeout=3)
+    assert time.monotonic() - t0 < 2
+    closer.join(timeout=5)
+    assert not closer.is_alive()
+    with pytest.raises(ConnectionClosedError):
+        peer.request(CMD_PING, b"", timeout=3)  # a later request fails at once too
+    a.close()
+    b.close()

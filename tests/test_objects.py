@@ -1,3 +1,4 @@
+import contextlib
 import threading
 import time
 
@@ -15,13 +16,21 @@ from eqsim.objects import (
     ObjectError,
     VersionError,
 )
+from eqsim.objects.manager import CMD_OBJ_PUSH
 
 from _cluster import Cluster, Doc
 
 
 @pytest.fixture
-def pair():
-    with Cluster(2) as c:
+def engine():
+    """Compression engine of every manager in a test; test_objects_engines.py
+    runs the map, sync, preload and multicast tests again with each engine."""
+    return None
+
+
+@pytest.fixture
+def pair(engine):
+    with Cluster(2, engine=engine) as c:
         yield c
 
 
@@ -76,6 +85,31 @@ def test_versions_are_consecutive(pair):
     assert versions == [1, 2, 3]
 
 
+class CountingDoc(Doc):
+    def __init__(self, **fields):
+        super().__init__(**fields)
+        self.instance_serializations = 0
+
+    def serialize_instance(self, stream):
+        self.instance_serializations += 1
+        super().serialize_instance(stream)
+
+
+def test_instance_commit_serializes_once(pair):
+    m0, m1 = pair.managers
+    master = CountingDoc(blob=b"payload")
+    oid = m0.register_object(master, ChangeType.INSTANCE)
+    slave = Doc()
+    m1.map_object(slave, oid)
+    master.instance_serializations = 0
+    master.count = 1
+    master.set_dirty(Doc.DIRTY_COUNT)
+    v = m0.commit(master)
+    assert master.instance_serializations == 1
+    m1.sync(slave, v, timeout=5)
+    assert slave.state() == master.state()
+
+
 def commit_n(manager, master, n, start=0):
     snapshots = {}
     for i in range(n):
@@ -87,8 +121,8 @@ def commit_n(manager, master, n, start=0):
     return snapshots
 
 
-def test_map_oldest_and_explicit_version():
-    with Cluster(3) as c:
+def test_map_oldest_and_explicit_version(engine):
+    with Cluster(3, engine=engine) as c:
         m0, m1, m2 = c.managers
         master = Doc()
         oid = m0.register_object(master, ChangeType.DELTA)
@@ -101,6 +135,104 @@ def test_map_oldest_and_explicit_version():
         slave3 = Doc()
         assert m2.map_object(slave3, oid, 3) == 3
         assert m2.instance_data(slave3) == snapshots[3]
+
+
+versioned_types = pytest.mark.parametrize(
+    "change_type", [ChangeType.DELTA, ChangeType.INSTANCE], ids=["delta", "instance"]
+)
+
+
+@versioned_types
+def test_slave_mapped_at_old_version_syncs_forward(pair, change_type):
+    m0, m1 = pair.managers
+    master = Doc()
+    oid = m0.register_object(master, change_type)
+    snapshots = commit_n(m0, master, 4)
+    slave = Doc()
+    assert m1.map_object(slave, oid, 2) == 2
+    snapshots.update(commit_n(m0, master, 1, start=10))
+    assert m1.sync(slave, 3, timeout=5) == 3
+    assert m1.instance_data(slave) == snapshots[3]
+    assert m1.sync(slave, 5, timeout=5) == 5
+    assert m1.instance_data(slave) == snapshots[5]
+
+
+def test_catch_up_pushes_overtaken_by_multicast_commit(engine):
+    hub = MulticastHub()
+    with Cluster(4, engine=engine) as c:
+        for m in c.managers:
+            hub.join(m)
+        m0, m1, m2, m3 = c.managers
+        master = Doc()
+        oid = m0.register_object(master, ChangeType.DELTA)
+        m1.map_object(Doc(), oid)
+        m2.map_object(Doc(), oid)
+        snapshots = commit_n(m0, master, 4)
+        on_push = m3._on_push
+
+        def commit_first(cmd):
+            # the hub delivers commit 5 before the unicast catch-up 3 is queued
+            m3.node.register_handler(CMD_OBJ_PUSH, on_push)
+            snapshots.update(commit_n(m0, master, 1, start=10))
+            on_push(cmd)
+
+        m3.node.register_handler(CMD_OBJ_PUSH, commit_first)
+        late = Doc()
+        assert m3.map_object(late, oid, 2) == 2
+        assert m3.sync(late, 5, timeout=5) == 5
+        assert m3.instance_data(late) == snapshots[5]
+
+
+def test_sync_waits_for_push_overtaken_by_later_one(pair, monkeypatch):
+    m0, m1 = pair.managers
+    master = Doc()
+    oid = m0.register_object(master, ChangeType.DELTA)
+    slave = Doc()
+    m1.map_object(slave, oid)
+    held = []
+    monkeypatch.setattr(m0, "_push", lambda payload, slaves: held.append(payload))
+    snapshots = commit_n(m0, master, 2)
+    m1._handle_push(held[1], via_multicast=False)  # version 2 arrives first
+    late = threading.Timer(0.2, m1._handle_push, (held[0], False))
+    late.start()
+    assert m1.sync(slave, 1, timeout=5) == 1
+    assert m1.instance_data(slave) == snapshots[1]
+    assert m1.sync(slave, 2, timeout=5) == 2
+    assert m1.instance_data(slave) == snapshots[2]
+    late.join()
+
+
+def test_sync_ignores_repeated_and_stale_pushes(pair, monkeypatch):
+    # a commit racing a map reaches the slave by hub and again as a catch-up
+    m0, m1 = pair.managers
+    master = Doc()
+    oid = m0.register_object(master, ChangeType.DELTA)
+    slave = Doc()
+    m1.map_object(slave, oid)
+    held = []
+    monkeypatch.setattr(m0, "_push", lambda payload, slaves: held.append(payload))
+    snapshots = commit_n(m0, master, 3)
+    for payload in (held[0], held[0], held[1]):
+        m1._handle_push(payload, via_multicast=False)
+    assert m1.sync(slave, 2, timeout=5) == 2
+    for payload in (held[1], held[2]):
+        m1._handle_push(payload, via_multicast=False)
+    assert m1.sync(slave, VERSION_HEAD, timeout=5) == 3
+    assert m1.instance_data(slave) == snapshots[3]
+
+
+@versioned_types
+def test_head_map_serves_committed_state(pair, change_type):
+    m0, m1 = pair.managers
+    master = Doc(count=1)
+    oid = m0.register_object(master, change_type)
+    master.set_dirty(Doc.DIRTY_COUNT)
+    assert m0.commit(master) == 1
+    master.count = 99  # edited, not committed
+    master.set_dirty(Doc.DIRTY_COUNT)
+    slave = Doc()
+    assert m1.map_object(slave, oid, VERSION_HEAD) == 1
+    assert slave.count == 1
 
 
 def test_sync_applies_in_order_and_rejects_regress(pair):
@@ -141,6 +273,59 @@ def test_sync_blocks_until_commit_arrives(pair):
     t.join(timeout=10)
     assert result["v"] == 1
     assert slave.count == 42
+
+
+@contextlib.contextmanager
+def unrelated_commits(owner, mapper):
+    """Commit an object mastered by `owner` and mapped by `mapper` every
+    0.5 ms; each push wakes the condition that `mapper` waits on."""
+    noise = Doc()
+    oid = owner.register_object(noise, ChangeType.DELTA)
+    mapper.map_object(Doc(), oid)
+    stop = threading.Event()
+
+    def run():
+        while not stop.wait(0.0005):
+            noise.count += 1
+            noise.set_dirty(Doc.DIRTY_COUNT)
+            owner.commit(noise)
+
+    t = threading.Thread(target=run)
+    t.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        t.join(timeout=5)
+        assert not t.is_alive()
+
+
+def test_sync_timeout_lasts_as_asked_under_unrelated_pushes(pair):
+    m0, m1 = pair.managers
+    master = Doc()
+    oid = m0.register_object(master, ChangeType.DELTA)
+    slave = Doc()
+    m1.map_object(slave, oid)
+    with unrelated_commits(m0, m1):
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError):
+            m1.sync(slave, 1, timeout=0.5)
+        assert time.monotonic() - t0 >= 0.45
+
+
+def test_blocking_commit_timeout_lasts_as_asked_under_unrelated_pushes(pair):
+    m0, m1 = pair.managers
+    master = Doc()
+    oid = m0.register_object(master, ChangeType.DELTA)
+    m1.map_object(Doc(), oid)  # never syncs
+    master.set_dirty(Doc.DIRTY_COUNT)
+    assert m0.commit(master, max_queued=1, timeout=5) == 1
+    master.set_dirty(Doc.DIRTY_COUNT)
+    with unrelated_commits(m1, m0):
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError):
+            m0.commit(master, max_queued=1, timeout=0.5)
+        assert time.monotonic() - t0 >= 0.45
 
 
 def test_slave_commit_rejected(pair):
@@ -210,8 +395,8 @@ def test_unknown_dirty_bit_rejected(pair):
         master.set_dirty(1)  # bit 0 reserved
 
 
-def test_history_depth_limits_mappable_versions():
-    with Cluster(2, history_depth=5) as c:
+def test_history_depth_limits_mappable_versions(engine):
+    with Cluster(2, history_depth=5, engine=engine) as c:
         m0, m1 = c.managers
         master = Doc()
         oid = m0.register_object(master, ChangeType.DELTA)
@@ -238,8 +423,8 @@ def test_unbuffered_serves_only_current_version(pair):
     assert m1.map_object(Doc(), oid, VERSION_OLDEST) == 3
 
 
-def test_delta_chain_equals_direct_map():
-    with Cluster(3) as c:
+def test_delta_chain_equals_direct_map(engine):
+    with Cluster(3, engine=engine) as c:
         m0, m1, m2 = c.managers
         master = Doc()
         oid = m0.register_object(master, ChangeType.DELTA)
@@ -314,9 +499,32 @@ def test_blocking_commit_bounded_queue_depth(pair):
     assert slave.count == 11
 
 
-def test_multicast_commit_single_payload():
+def test_unmap_releases_blocked_commit(pair):
+    m0, m1 = pair.managers
+    master = Doc()
+    oid = m0.register_object(master, ChangeType.DELTA)
+    slave = Doc()
+    m1.map_object(slave, oid)  # never syncs
+    master.set_dirty(Doc.DIRTY_COUNT)
+    assert m0.commit(master, max_queued=1) == 1
+    state = {}
+
+    def blocked_commit():
+        master.set_dirty(Doc.DIRTY_COUNT)
+        state["v"] = m0.commit(master, max_queued=1, timeout=None)
+
+    t = threading.Thread(target=blocked_commit, daemon=True)
+    t.start()
+    time.sleep(0.1)
+    assert "v" not in state
+    m1.unmap_object(slave)
+    t.join(timeout=1)
+    assert state.get("v") == 2
+
+
+def test_multicast_commit_single_payload(engine):
     hub = MulticastHub()
-    with Cluster(3) as c:
+    with Cluster(3, engine=engine) as c:
         for m in c.managers:
             hub.join(m)
         m0, m1, m2 = c.managers
@@ -336,10 +544,10 @@ def test_multicast_commit_single_payload():
         assert s1.count == s2.count == 17
 
 
-def test_multicast_and_unicast_results_identical():
+def test_multicast_and_unicast_results_identical(engine):
     def run(with_hub):
         hub = MulticastHub() if with_hub else None
-        with Cluster(3) as c:
+        with Cluster(3, engine=engine) as c:
             if hub:
                 for m in c.managers:
                     hub.join(m)
@@ -364,9 +572,9 @@ def test_multicast_and_unicast_results_identical():
     assert uni_u == 10 and multi_u == 0
 
 
-def test_single_slave_uses_unicast_even_with_hub():
+def test_single_slave_uses_unicast_even_with_hub(engine):
     hub = MulticastHub()
-    with Cluster(2) as c:
+    with Cluster(2, engine=engine) as c:
         for m in c.managers:
             hub.join(m)
         m0, m1 = c.managers
@@ -381,28 +589,34 @@ def test_single_slave_uses_unicast_even_with_hub():
         assert m0.counters["multicast_pushes"] == 0
 
 
-def test_multicast_snooping_fills_cache():
+def test_multicast_snooping_fills_cache(engine):
     hub = MulticastHub()
-    with Cluster(3) as c:
+    with Cluster(4, engine=engine) as c:
         for m in c.managers:
             hub.join(m)
-        m0, m1, m2 = c.managers
+        m0, m1, m2, m3 = c.managers
         master = Doc()
         oid = m0.register_object(master, ChangeType.INSTANCE)
         s1, s2 = Doc(), Doc()
         m1.map_object(s1, oid)
         m2.map_object(s2, oid)
-        # a third manager exists on node 0's hub; use a 4th node? here the
-        # master node itself never caches its own pushes, so snoop via m1:
         master.count = 5
         master.set_dirty(Doc.DIRTY_COUNT)
         v = m0.commit(master)
         m1.sync(s1, v, timeout=5)
         m2.sync(s2, v, timeout=5)
+        # the hub delivers synchronously: by now the unmapped node holds the
+        # snooped version, and the mapped ones queued it instead
+        assert m3.cache.versions(oid) == [v]
+        assert m1.cache.versions(oid) == m2.cache.versions(oid) == []
+        late = Doc()
+        assert m3.map_object(late, oid, VERSION_HEAD) == v
+        assert m3.counters["instance_payloads_received"] == 0
+        assert late.state() == master.state()
 
 
-def test_preload_populates_caches():
-    with Cluster(4, preload=True) as c:
+def test_preload_populates_caches(engine):
+    with Cluster(4, preload=True, engine=engine) as c:
         master = Doc(count=9, blob=b"preloaded")
         oid = c.managers[0].register_object(master, ChangeType.DELTA)
         deadline = time.monotonic() + 5
@@ -413,8 +627,8 @@ def test_preload_populates_caches():
         assert all(m.cache.versions(oid) == [0] for m in c.managers[1:])
 
 
-def test_warm_cache_map_needs_no_instance_payload():
-    with Cluster(2, preload=True) as c:
+def test_warm_cache_map_needs_no_instance_payload(engine):
+    with Cluster(2, preload=True, engine=engine) as c:
         m0, m1 = c.managers
         master = Doc(count=3, blob=b"warm")
         oid = m0.register_object(master, ChangeType.DELTA)
@@ -427,9 +641,9 @@ def test_warm_cache_map_needs_no_instance_payload():
         assert slave.state() == master.state()
 
 
-def test_cache_transparency():
+def test_cache_transparency(engine):
     def final_state(preload):
-        with Cluster(2, preload=preload) as c:
+        with Cluster(2, preload=preload, engine=engine) as c:
             m0, m1 = c.managers
             master = Doc()
             oid = m0.register_object(master, ChangeType.DELTA)
@@ -446,9 +660,9 @@ def test_cache_transparency():
     assert final_state(True) == final_state(False)
 
 
-def test_randomized_replication_byte_equal():
+def test_randomized_replication_byte_equal(engine):
     rng = np.random.default_rng(42)
-    with Cluster(3) as c:
+    with Cluster(3, engine=engine) as c:
         m0, m1, m2 = c.managers
         master = Doc()
         oid = m0.register_object(master, ChangeType.DELTA)

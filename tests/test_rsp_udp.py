@@ -1,5 +1,8 @@
 """Smoke tests over real UDP multicast; skipped where multicast is unavailable."""
 
+import itertools
+import socket
+
 import numpy as np
 import pytest
 
@@ -38,3 +41,23 @@ def test_udp_flush_completes(pair):
     a.flush(timeout=30)
     assert a.member.write_idle
     assert b.recv(0, 100_000, timeout=30) == bytes(100_000)
+
+
+def test_send_errors_drop_datagrams(pair, monkeypatch):
+    """A full send buffer drops the datagram; the protocol thread lives on
+    and the stream recovers it like any lost datagram."""
+    a, b = pair
+    real_sendto = socket.socket.sendto
+    calls = itertools.count()
+
+    def sendto(sock, *args):
+        if next(calls) < 20:
+            raise TimeoutError("timed out")
+        return real_sendto(sock, *args)
+
+    monkeypatch.setattr(socket.socket, "sendto", sendto)
+    blob = np.random.default_rng(2).integers(0, 256, 100_000, dtype=np.uint8).tobytes()
+    a.send(blob, timeout=10)
+    assert b.recv(0, len(blob), timeout=10) == blob
+    b.send(blob, timeout=10)
+    assert a.recv(1, len(blob), timeout=10) == blob
