@@ -381,7 +381,7 @@ class _Builder:
             elif key == "range":
                 node.range_ = _wrap(item, Range, *_floats(item, 2))
             elif key == "pixel":
-                node.pixel = _wrap(item, PixelParam, *self._pixel_order(_ints(item, 4)))
+                node.pixel = _wrap(item, PixelParam, *_ints(item, 4))
             elif key == "subpixel":
                 index, size = _ints(item, 2)
                 node.subpixel = _wrap(item, SubpixelParam, index, size)
@@ -412,11 +412,6 @@ class _Builder:
                 _Item("phase", 0, 0, 0), PhasePeriod, phase or 0, period or 1
             )
         return node
-
-    @staticmethod
-    def _pixel_order(values: list[int]) -> tuple[int, int, int, int]:
-        # wire order: xOffset yOffset xCount yCount
-        return values[0], values[1], values[2], values[3]
 
 
 def parse_config(text: str) -> Config:

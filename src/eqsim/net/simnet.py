@@ -11,6 +11,29 @@ the consuming application: by default it drains delivered data as fast as
 it arrives; a rate-limited or paused sink leaves the protocol's delivery
 buffers full, which withholds acknowledgements and throttles the writer
 through the sliding window.
+
+Scheduling is event-driven.  Datagrams in flight wait in one heap by
+arrival time.  The timers of the members (`RspMember.next_event_time`)
+and of the sinks (`_Sink.due_time`) wait in a second heap with lazy
+invalidation: each member id or (reader, writer) sink key has at most one
+live entry, and a superseded entry is dropped when it surfaces.  A key
+whose state changes is marked dirty, and only dirty keys are re-evaluated,
+just before the next timer lookup.  A delivery marks its receiver, and a
+DATA delivery also the sink of its writer; a poll marks its member; a sink
+run marks the sink; `join`, `RspSimEndpoint.send`, `set_consume_rate` and
+`pause_consumption` mark what they change.
+
+Invariant: `next_event_time` and `due_time` are pure functions of member
+and sink state, and that state changes only through the group or the
+endpoint.  Driving an `RspMember` or a `_Sink` directly bypasses the
+marks and leaves their timers stale.
+
+Each `step` delivers at most one datagram, then polls the due members in
+id order and runs the due sinks in key order, so the seeded random draws,
+and with them the trace, do not depend on how timers are found.  A
+virtual deadline (`run_until`, the window stall in `send`) never lets an
+event past it be processed: the clock stops at the deadline and
+SimStallError is raised.
 """
 
 from __future__ import annotations
@@ -21,7 +44,7 @@ import random
 from typing import Callable, Optional
 
 from .connection import ConnectionDescription
-from .rsp import Datagram, MemberLostError, RspConfig, RspError, RspJoinError, RspMember
+from .rsp import Datagram, DatagramType, MemberLostError, RspConfig, RspError, RspJoinError, RspMember
 
 _INF = float("inf")
 
@@ -111,7 +134,7 @@ class _Sink:
 
 
 class RspSimGroup:
-    """One multicast group: members, virtual clock and event queue."""
+    """One multicast group: members, virtual clock and event queues."""
 
     def __init__(self, transport: SimTransport, cfg: RspConfig):
         self.transport = transport
@@ -119,10 +142,16 @@ class RspSimGroup:
         self.clock = 0.0
         self.members: dict[int, RspMember] = {}
         self._sinks: dict[tuple[int, int], _Sink] = {}
-        self._heap: list = []
+        self._heap: list = []  # datagrams in flight: (arrival, counter, receiver, dgram)
         self._counter = itertools.count()
         self._rng = random.Random(transport.seed)
         self.trace: list[tuple] = []
+        # timers of members (key: member id) and sinks (key: (reader, writer));
+        # generations are unique, so heap ties never compare an id to a tuple
+        self._timers: list = []  # (time, generation, key); stale entries skipped
+        self._live: dict = {}  # key -> (time, generation) of its one valid entry
+        self._dirty: set = set()  # keys whose timer must be re-evaluated
+        self._generation = itertools.count()
 
     # --- membership -------------------------------------------------------
 
@@ -135,12 +164,69 @@ class RspSimGroup:
             raise RspJoinError(f"writer id {member_id} already joined")
         member = RspMember(member_id, cfg, self.clock)
         self.members[member_id] = member
+        self._dirty.add(member_id)
         for writer in member.peers:
-            self._sinks[(member_id, writer)] = _Sink(member, writer, self.clock)
+            key = (member_id, writer)
+            self._sinks[key] = _Sink(member, writer, self.clock)
+            self._dirty.add(key)
         return RspSimEndpoint(self, member)
 
     def sink(self, member_id: int, writer: int) -> _Sink:
         return self._sinks[(member_id, writer)]
+
+    # --- timers -------------------------------------------------------------
+
+    def _flush(self) -> None:
+        for key in self._dirty:
+            if type(key) is tuple:
+                t = self._sinks[key].due_time()
+            else:
+                t = self.members[key].next_event_time()
+            live = self._live.get(key)
+            if live is not None and live[0] == t:
+                continue
+            if t == _INF:
+                self._live.pop(key, None)
+                continue
+            gen = next(self._generation)
+            self._live[key] = (t, gen)
+            heapq.heappush(self._timers, (t, gen, key))
+        self._dirty.clear()
+
+    def _next_timer(self) -> float:
+        """Earliest member or sink timer; inf when none is armed."""
+        if self._dirty:
+            self._flush()
+        timers = self._timers
+        while timers:
+            t, gen, key = timers[0]
+            live = self._live.get(key)
+            if live is not None and live[1] == gen:
+                return t
+            heapq.heappop(timers)
+        return _INF
+
+    def _next_time(self) -> float:
+        """Virtual time of the event the next `step` processes."""
+        t_heap = self._heap[0][0] if self._heap else _INF
+        return max(self.clock, min(t_heap, self._next_timer()))
+
+    def _pop_due(self) -> tuple[list, list]:
+        """Disarm and return the members and sinks due at the clock, sorted."""
+        if self._dirty:
+            self._flush()
+        members, sinks = [], []
+        timers = self._timers
+        while timers and timers[0][0] <= self.clock:
+            _, gen, key = heapq.heappop(timers)
+            live = self._live.get(key)
+            if live is None or live[1] != gen:
+                continue
+            del self._live[key]
+            (sinks if type(key) is tuple else members).append(key)
+        members.sort()
+        sinks.sort()
+        return members, sinks
 
     # --- event machinery ----------------------------------------------------
 
@@ -171,54 +257,55 @@ class RspSimGroup:
         self.trace.append(
             ("rx", round(self.clock, 9), receiver, dgram.type, dgram.writer_id, dgram.sequence, len(dgram.payload))
         )
+        self._dirty.add(receiver)
+        if dgram.type == DatagramType.DATA:
+            self._dirty.add((receiver, dgram.writer_id))
         for outgoing in member.protocol_step(dgram, self.clock):
             self._transmit(receiver, outgoing, self.clock)
 
-    def _next_member_time(self) -> float:
-        t = _INF
-        for member in self.members.values():
-            t = min(t, member.next_event_time())
-        for sink in self._sinks.values():
-            t = min(t, sink.due_time())
-        return t
-
     def step(self) -> None:
-        """Advance the virtual clock to the next event and process it."""
+        """Advance the virtual clock to the next event and process it: at
+        most one datagram, then every due member poll in id order and every
+        due sink in key order."""
         t_heap = self._heap[0][0] if self._heap else _INF
-        t_member = self._next_member_time()
-        t_next = min(t_heap, t_member)
+        t_timer = self._next_timer()
+        t_next = min(t_heap, t_timer)
         if t_next == _INF:
             raise SimStallError("no pending events")
         self.clock = max(self.clock, t_next)
-        if t_heap <= t_member:
+        if t_heap <= t_timer:
             _, _, receiver, dgram = heapq.heappop(self._heap)
             self._deliver(receiver, dgram)
-        for member_id in sorted(self.members):
-            member = self.members[member_id]
-            if member.next_event_time() <= self.clock:
-                for outgoing in member.poll(self.clock):
-                    self._transmit(member_id, outgoing, self.clock)
-        for key in sorted(self._sinks):
-            sink = self._sinks[key]
-            if sink.due_time() <= self.clock:
-                sink.run(self.clock)
+        members, sinks = self._pop_due()
+        for member_id in members:
+            self._dirty.add(member_id)
+            for outgoing in self.members[member_id].poll(self.clock):
+                self._transmit(member_id, outgoing, self.clock)
+        for key in sinks:
+            # a sink run only drains its member's delivery backlog, which
+            # `next_event_time` does not read, so the member stays clean
+            self._dirty.add(key)
+            self._sinks[key].run(self.clock)
+
+    def _step_before(self, deadline: float, what: str) -> None:
+        """Process the next event unless it lies beyond `deadline`; then the
+        clock stops at the deadline and SimStallError is raised."""
+        if self._next_time() > deadline:
+            self.clock = max(self.clock, deadline)
+            raise SimStallError(what)
+        self.step()
 
     def run_until(self, predicate: Callable[[], bool], max_virtual: float = 300.0) -> None:
         deadline = self.clock + max_virtual
         while not predicate():
             self._check_failures()
-            if self.clock > deadline:
-                raise SimStallError(f"condition not reached within {max_virtual} virtual seconds")
-            self.step()
+            self._step_before(deadline, f"condition not reached within {max_virtual} virtual seconds")
 
     def run_for(self, duration: float) -> None:
         target = self.clock + duration
-        while True:
-            t_heap = self._heap[0][0] if self._heap else _INF
-            if min(t_heap, self._next_member_time()) > target:
-                self.clock = target
-                return
+        while self._next_time() <= target:
             self.step()
+        self.clock = target
 
     def _check_failures(self) -> None:
         for member in self.members.values():
@@ -249,9 +336,11 @@ class RspSimEndpoint:
     def set_consume_rate(self, writer: int, rate: Optional[float]) -> None:
         """Limit how fast the simulated application reads `writer`'s stream."""
         self.group.sink(self.id, writer).rate = rate
+        self.group._dirty.add((self.id, writer))
 
     def pause_consumption(self, writer: int, paused: bool = True) -> None:
         self.group.sink(self.id, writer).paused = paused
+        self.group._dirty.add((self.id, writer))
 
     def send(self, data: bytes, max_virtual: float = 300.0) -> None:
         """Queue `data` into the send window, advancing the simulation while
@@ -266,11 +355,10 @@ class RspSimEndpoint:
             if room > 0:
                 take = min(room, len(data) - offset)
                 self.member.try_enqueue(bytes(view[offset : offset + take]))
+                self.group._dirty.add(self.id)
                 offset += take
             else:
-                if self.group.clock > deadline:
-                    raise SimStallError("send stalled: window never freed")
-                self.group.step()
+                self.group._step_before(deadline, "send stalled: window never freed")
                 self.group._check_failures()
 
     def recv(self, writer: int, n: int, max_virtual: float = 300.0) -> bytes:

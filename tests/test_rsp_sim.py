@@ -1,13 +1,18 @@
 """End-to-end properties of the protocol over the simulated transport."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from eqsim.net import (
     RSP_MULTICAST,
     ConnectionDescription,
+    DatagramType,
     RspConfig,
     RspJoinError,
+    SimStallError,
     SimTransport,
     rsp_join,
     rsp_recv,
@@ -17,8 +22,8 @@ from eqsim.net import (
 GROUP = ConnectionDescription(RSP_MULTICAST, "239.1.1.1", 4000)
 
 
-def make_group(member_ids, seed=0, **impairments):
-    cfg = RspConfig(members=tuple(member_ids))
+def make_group(member_ids, seed=0, cfg=None, **impairments):
+    cfg = cfg or RspConfig(members=tuple(member_ids))
     transport = SimTransport(seed=seed, **impairments)
     eps = {i: rsp_join(GROUP, cfg, transport, i) for i in member_ids}
     group = transport.groups[(GROUP.host, GROUP.port)]
@@ -139,3 +144,233 @@ def test_no_duplication_in_stream_with_injected_duplicates():
     assert group.members[1].stats.duplicates_dropped > 0
     # nothing beyond the stream ever appears
     assert eps[1].member.readable(0) == 0
+
+
+
+def _event_times(trace):
+    return [entry[1] for entry in trace if entry[0] in ("tx", "rx")]
+
+
+def test_recv_timeout_stops_at_its_deadline():
+    _, _, eps, group = make_group([0, 1])
+    with pytest.raises(SimStallError):
+        eps[1].recv(0, 100, max_virtual=1e-5)
+    assert group.clock == 1e-5
+    # the beacons go out at 0; their arrival at ~1e-4 lies past the deadline
+    assert max(_event_times(group.trace)) <= 1e-5
+
+
+def test_send_stall_stops_at_its_deadline():
+    cfg = RspConfig(members=(0, 1), num_buffers=64)
+    _, _, eps, group = make_group([0, 1], seed=3, cfg=cfg)
+    eps[1].pause_consumption(0)
+    group.run_for(0.01)
+    start = group.clock
+    with pytest.raises(SimStallError, match="send stalled"):
+        eps[0].send(bytes(3 * 64 * cfg.payload_size), max_virtual=0.03)
+    assert group.clock == start + 0.03
+    assert max(_event_times(group.trace)) <= start + 0.03
+
+
+def test_paused_reader_throttles_writer_and_resumes_intact():
+    cfg = RspConfig(members=(0, 1), num_buffers=64)
+    _, _, eps, group = make_group([0, 1], seed=81, cfg=cfg)
+    writer, reader = group.members[0], group.members[1]
+    eps[1].pause_consumption(0)
+    data = payload(4 * cfg.num_buffers * cfg.payload_size, 81)
+    sent = 0
+    for _ in range(4):  # queue what fits, never blocking in send
+        room = writer.send_room
+        rsp_send(eps[0], data[sent : sent + room])
+        sent += room
+        group.run_for(0.02)
+    assert sent < len(data)
+    # the reader holds a full backlog and consumes nothing
+    assert reader.readable(0) == cfg.num_buffers * cfg.payload_size
+    assert not group.sink(1, 0).buffer
+    assert writer.in_flight == cfg.num_buffers
+    assert writer.max_in_flight <= cfg.num_buffers
+
+    # throttled, the writer sends no fresh data but keeps probing the group
+    data_sent, mark, start = writer.stats.data_sent, len(group.trace), group.clock
+    group.run_for(0.2)
+    probes = [e[3] for e in group.trace[mark:] if e[0] == "tx" and e[2] == 0]
+    assert writer.stats.data_sent == data_sent
+    assert writer.in_flight == cfg.num_buffers
+    assert probes.count(DatagramType.ACKREQ) >= 0.2 / (cfg.ack_timeout_ms / 1000) - 1
+    assert probes.count(DatagramType.BEACON) >= 0.2 / (cfg.beacon_interval_ms / 1000) - 1
+    assert group.clock == start + 0.2
+
+    # on resume the very next step drains the backlog
+    eps[1].pause_consumption(0, False)
+    group.step()
+    assert reader.readable(0) == 0
+    assert len(group.sink(1, 0).buffer) == cfg.num_buffers * cfg.payload_size
+    rsp_send(eps[0], data[sent:])
+    assert rsp_recv(eps[1], 0, len(data)) == data
+
+
+def test_consume_rate_change_mid_stream_takes_effect():
+    cfg, _, eps, group = make_group([0, 1], seed=91)
+    slow, fast, span = 64 << 10, 8 << 20, 0.05
+    eps[1].set_consume_rate(0, slow)
+    data = payload(1 << 20, 91)
+    rsp_send(eps[0], data)
+    sink = group.sink(1, 0)
+
+    start = group.clock
+    group.run_for(span)
+    assert group.clock == start + span
+    before = len(sink.buffer)
+    assert abs(before - slow * span) <= 2 * cfg.payload_size
+
+    eps[1].set_consume_rate(0, fast)
+    start = group.clock
+    group.run_for(span)
+    assert group.clock == start + span
+    # credits since the last slow read count at the new rate, at most the
+    # sink's 16-datagram credit cap
+    assert abs(len(sink.buffer) - before - fast * span) <= 17 * cfg.payload_size
+
+    eps[1].set_consume_rate(0, None)
+    assert rsp_recv(eps[1], 0, len(data)) == data
+
+
+# --- golden traces -------------------------------------------------------------
+#
+# Each scenario drives a group through one schedule; its SHA-256 over the
+# JSON-encoded trace and its final virtual clock are pinned, so a scheduler
+# change that reorders, adds or drops a single event fails here even when
+# the streams still arrive intact.
+
+
+def _send_all(eps, writers, size, seed):
+    blobs = {w: payload(size, seed + w) for w in writers}
+    for w in writers:
+        rsp_send(eps[w], blobs[w])
+    for reader, ep in eps.items():
+        for w in writers:
+            if reader != w:
+                assert rsp_recv(ep, w, size) == blobs[w]
+
+
+def _golden_members(n, loss=0.0):
+    def run():
+        _, _, eps, group = make_group(range(n), seed=n, loss=loss)
+        _send_all(eps, [0], 200_000, n)
+        return group
+
+    return run
+
+
+def _golden_impaired():
+    _, _, eps, group = make_group(range(3), seed=31, loss=0.05, duplicate=0.02, reorder=0.05)
+    _send_all(eps, [0], 300_000, 31)
+    return group
+
+
+def _golden_two_writers():
+    _, _, eps, group = make_group(range(3), seed=41, loss=0.02)
+    _send_all(eps, [0, 1], 200_000, 41)
+    return group
+
+
+def _golden_rate_limited():
+    _, _, eps, group = make_group([0, 1], seed=51, loss=0.01)
+    eps[1].set_consume_rate(0, 2 << 20)
+    data = payload(300_000, 51)
+    rsp_send(eps[0], data)
+    group.run_for(0.05)
+    eps[1].set_consume_rate(0, 8 << 20)
+    assert rsp_recv(eps[1], 0, len(data)) == data
+    return group
+
+
+def _golden_paused():
+    cfg = RspConfig(members=(0, 1, 2), num_buffers=64)
+    _, _, eps, group = make_group(range(3), seed=61, cfg=cfg, loss=0.02)
+    eps[2].pause_consumption(0)
+    data = payload(200_000, 61)
+    room = eps[0].member.send_room
+    rsp_send(eps[0], data[:room])
+    group.run_for(0.08)
+    eps[2].pause_consumption(0, False)
+    rsp_send(eps[0], data[room:])
+    for reader in (1, 2):
+        assert rsp_recv(eps[reader], 0, len(data)) == data
+    return group
+
+
+def _golden_idle_tail():
+    _, _, eps, group = make_group([0, 1], seed=71)
+    _send_all(eps, [0], 100_000, 71)
+    group.run_for(0.3)
+    return group
+
+
+GOLDEN_SCENARIOS = {
+    "members2": _golden_members(2),
+    "members3": _golden_members(3),
+    "members4": _golden_members(4),
+    "members8": _golden_members(8),
+    "members8_loss": _golden_members(8, loss=0.02),
+    "impaired": _golden_impaired,
+    "two_writers": _golden_two_writers,
+    "rate_limited": _golden_rate_limited,
+    "paused": _golden_paused,
+    "idle_tail": _golden_idle_tail,
+}
+
+# recorded with the full-scan scheduler that preceded the timer heap
+GOLDEN = {
+    "idle_tail": (
+        "09bf3ebb7cd3274bc92cd65531232a6606f76d2d299434b921ff8439ad1edbf4",
+        0.3002548914462984,
+    ),
+    "impaired": (
+        "1b9a12537f977815f7c021b656e4169ca5ffe8684a77edaf342481f3b36ac5bf",
+        0.010874800269075004,
+    ),
+    "members2": (
+        "f28154db87767534b7e8b61f6ddab933fa2d5d6306b1b5dbd704ab51630a5a5e",
+        0.00044995569874957967,
+    ),
+    "members3": (
+        "c333d94026117ac336f514d0c5074893e181e7fcd97bd54790e4cc2cd3662ec3",
+        0.0004405072194812283,
+    ),
+    "members4": (
+        "00974146b03ad981862ccae5526160eb3a1c7dbc892ee5f8160443c4ab0b4e06",
+        0.00044434730816000456,
+    ),
+    "members8": (
+        "3616d9592363c55b8076a1c0c7a1efbf06cd41509ab83d8b640d339e6bc3d271",
+        0.00045049593613513407,
+    ),
+    "members8_loss": (
+        "6c00d8a12885e1132ac37264787ca146b948c9e58d1253b6d7c4e2a8703ed31d",
+        0.0015043010173073337,
+    ),
+    "paused": (
+        "ce27ee9b727bd3ba2cb84708b5159c83d05498e76b214879647d0b839c4189a6",
+        0.08155567422444106,
+    ),
+    "rate_limited": (
+        "473ef2bd5769ede68bdfb107508ae13be6af83b6a2b4a16b46624bbffb4b7c6c",
+        0.07288527488708496,
+    ),
+    "two_writers": (
+        "cadc2032c0f654ef689a44ae0797261b5354debf9e583becc7e99766e9a227be",
+        0.010653115598136502,
+    ),
+}
+
+
+def trace_digest(group):
+    return hashlib.sha256(json.dumps(group.trace).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+def test_golden_trace(name):
+    group = GOLDEN_SCENARIOS[name]()
+    assert (trace_digest(group), group.clock) == GOLDEN[name]
