@@ -17,7 +17,8 @@ from .engines import CompressorInfo, CompressionEngine, registered_engines
 
 
 def builtin_corpus(kind: str, buffers: int = 8, size: int = 256 * 1024, seed: int = 0) -> list[bytes]:
-    """Synthetic corpora: 'zero', 'random', or 'sparse' (a mostly-empty volume)."""
+    """Synthetic corpora: 'zero', 'random', 'sparse' (a mostly-empty
+    volume) or 'image' (a rendered region: int32 ids, then float64 depth)."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(buffers):
@@ -35,9 +36,31 @@ def builtin_corpus(kind: str, buffers: int = 8, size: int = 256 * 1024, seed: in
                 length = int(rng.integers(size // 256, size // 64))
                 buf[start : start + length] = rng.integers(1, 7, length, dtype=np.uint8)
             out.append(buf.tobytes())
+        elif kind == "image":
+            out.append(_image(rng, size))
         else:
             raise ValueError(f"unknown builtin corpus {kind!r}")
     return out
+
+
+def _image(rng: np.random.Generator, size: int) -> bytes:
+    """About `size` bytes of what the frame path sends for one region: an
+    id plane of overlapping boxes over background 0, then a depth plane
+    that is a linear gradient on each box and inf elsewhere."""
+    w = 256
+    h = max(1, size // (12 * w))
+    ids = np.zeros((h, w), dtype=np.int32)
+    depth = np.full((h, w), np.inf)
+    ys, xs = np.mgrid[0:h, 0:w]
+    for oid in range(1, 17):
+        x0, y0 = int(rng.integers(0, w)), int(rng.integers(0, h))
+        bh, bw = int(rng.integers(h // 8 + 1, h // 2 + 2)), int(rng.integers(w // 8, w // 2))
+        box = (slice(y0, y0 + bh), slice(x0, x0 + bw))
+        z = rng.uniform(1.0, 10.0) + rng.uniform(-1e-3, 1e-3) * xs[box] + rng.uniform(-1e-3, 1e-3) * ys[box]
+        closer = z < depth[box]
+        ids[box][closer] = oid
+        depth[box][closer] = z[closer]
+    return ids.tobytes() + depth.tobytes()
 
 
 def codec_benchmark(

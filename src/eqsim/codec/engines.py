@@ -3,13 +3,24 @@
 Engines are looked up by symbolic name (for configuration) or by their
 one-byte wire id (for chunk framing).  All engines are lossless and must
 be safe to call from multiple threads on distinct buffers; the built-ins
-hold no mutable state.
+hold no mutable state.  Both directions take any bytes-like object (an
+OutputStream hands its engine views of the caller's data) and return bytes.
 
 Built-in tiers:
 
-    rle    word-oriented run length, near-memcpy speed
+    rle    word-oriented run length (see rle.py)
     fast   dictionary coder tuned for speed (zlib level 1)
     ratio  dictionary coder tuned for density (lzma preset 1)
+
+Compress/decompress MB/s and ratio from `codec_benchmark` over the
+`builtin_corpus` kinds, medians of 7, on a 2-CPU VM with Python 3.11 and
+numpy 2.4 (its speed drifts by tens of percent between runs):
+
+    corpus   rle               fast              ratio
+    sparse   1159/1601 0.107   234/720  0.053    34/160  0.046
+    image     342/347  0.451    67/308  0.349    11/33   0.288
+    zero     1305/1949 0.000   447/1474 0.004    67/374  0.001
+    random   1642/2123 1.000    36/1560 1.000     5/2664 1.000
 """
 
 from __future__ import annotations

@@ -39,6 +39,8 @@ _MIN_ZERO_RUN = 2  # zero runs have no value word, so they pay off earlier
 # worst case: one literal control word + final-word padding + crc
 MAX_OVERHEAD = 8 + 7 + 4
 
+_U64 = struct.Struct("<Q")
+
 
 class RleDecodeError(ValueError):
     """Corrupt or truncated RLE data; `offset` is the failing byte position."""
@@ -49,45 +51,43 @@ class RleDecodeError(ValueError):
 
 
 def _control(kind: int, count: int, pad: int = 0) -> bytes:
-    return struct.pack("<Q", kind | (pad << 2) | (count << 5))
+    return _U64.pack(kind | (pad << 2) | (count << 5))
 
 
-def compress(data: bytes) -> bytes:
-    if len(data) == 0:
+def compress(data) -> bytes:
+    """Encode any bytes-like object; only an input that is not a word
+    multiple is copied (to pad it)."""
+    view = memoryview(data).cast("B")
+    if len(view) == 0:
         return b""
 
-    pad = (-len(data)) % _WORD
-    if pad:
-        padded = data + b"\x00" * pad
-    else:
-        padded = bytes(data)
+    pad = (-len(view)) % _WORD
+    padded = memoryview(view.tobytes() + bytes(pad)) if pad else view
     words = np.frombuffer(padded, dtype="<u8")
     n = len(words)
 
-    # run starts and lengths
-    if n > 1:
-        change = np.flatnonzero(words[1:] != words[:-1]) + 1
-        starts = np.concatenate(([0], change))
-    else:
-        starts = np.zeros(1, dtype=np.intp)
-    lengths = np.diff(np.append(starts, n))
-    values = words[starts]
-
-    worthwhile = (lengths >= _MIN_RUN) | ((values == 0) & (lengths >= _MIN_ZERO_RUN))
-    run_idx = np.flatnonzero(worthwhile)
+    # same[i + 1]: word i + 1 equals word i.  Its edges delimit the runs of
+    # two or more equal words, the only runs that can pay off, so the work
+    # past this point scales with the runs, not with the word changes
+    same = np.concatenate(([False], words[1:] == words[:-1], [False]))
+    edges = np.flatnonzero(same[1:] != same[:-1])
+    starts = edges[0::2]
+    lengths = edges[1::2] + 1 - starts
+    zero = words[starts] == 0
+    worthwhile = (lengths >= _MIN_RUN) | (zero & (lengths >= _MIN_ZERO_RUN))
 
     out = []
     ctrl_at = 0    # index in `out` of the latest control word
     lit_start = 0  # word index where the pending literal stretch begins
-    for i in run_idx:
-        s = int(starts[i])
+    for s, count, is_zero in zip(
+        starts[worthwhile].tolist(), lengths[worthwhile].tolist(), zero[worthwhile].tolist()
+    ):
         if s > lit_start:
             ctrl_at = len(out)
             out.append(_control(_KIND_LITERAL, s - lit_start))
             out.append(padded[lit_start * _WORD : s * _WORD])
-        count = int(lengths[i])
         ctrl_at = len(out)
-        if values[i] == 0:
+        if is_zero:
             out.append(_control(_KIND_ZERO, count))
         else:
             out.append(_control(_KIND_RUN, count))
@@ -99,21 +99,21 @@ def compress(data: bytes) -> bytes:
         out.append(padded[lit_start * _WORD :])
 
     if pad:
-        word = struct.unpack("<Q", out[ctrl_at])[0]
-        out[ctrl_at] = struct.pack("<Q", word | (pad << 2))
+        word = _U64.unpack(out[ctrl_at])[0]
+        out[ctrl_at] = _U64.pack(word | (pad << 2))
 
-    out.append(struct.pack("<I", zlib.crc32(data)))
+    out.append(struct.pack("<I", zlib.crc32(view)))
     return b"".join(out)
 
 
-def decompress(data: bytes) -> bytes:
+def decompress(data) -> bytes:
     if len(data) == 0:
         return b""
     if len(data) < 12:  # one control word + crc at minimum
         raise RleDecodeError("compressed data shorter than minimal frame", 0)
 
-    body, crc_bytes = data[:-4], data[-4:]
-    expected_crc = struct.unpack("<I", crc_bytes)[0]
+    body = memoryview(data)[:-4]
+    expected_crc = struct.unpack_from("<I", data, len(body))[0]
 
     parts = []
     pos = 0
@@ -122,7 +122,7 @@ def decompress(data: bytes) -> bytes:
     while pos < end:
         if end - pos < 8:
             raise RleDecodeError("truncated control word", pos)
-        word = struct.unpack_from("<Q", body, pos)[0]
+        word = _U64.unpack_from(body, pos)[0]
         kind = word & 3
         pad = (word >> 2) & 7
         count = word >> 5
@@ -138,19 +138,19 @@ def decompress(data: bytes) -> bytes:
         elif kind == _KIND_RUN:
             if end - pos < 8:
                 raise RleDecodeError("truncated run value", pos)
-            parts.append(body[pos : pos + 8] * count)
+            parts.append(body[pos : pos + 8].tobytes() * count)
             pos += 8
         elif kind == _KIND_ZERO:
             parts.append(b"\x00" * (count * _WORD))
         else:
             raise RleDecodeError("invalid block kind", pos - 8)
 
-    result = b"".join(parts)
     if pad:
-        tail = result[-pad:]
-        if tail.count(0) != pad:
+        # the final block carries the pad, and every block spans >= 8 bytes
+        if parts[-1][-pad:] != bytes(pad):
             raise RleDecodeError("nonzero padding", len(body))
-        result = result[:-pad]
+        parts[-1] = parts[-1][:-pad]
+    result = b"".join(parts)
     if zlib.crc32(result) != expected_crc:
         raise RleDecodeError("checksum mismatch", len(body))
     return result

@@ -41,8 +41,10 @@ def frame_chunk(payload: bytes, wire_id: int) -> bytes:
     return _CHUNK_HEADER.pack(len(payload), wire_id) + payload
 
 
-def iter_frames(blob: bytes) -> Iterator[bytes]:
-    """Split a concatenation of framed chunks back into individual chunks."""
+def iter_frames(blob: bytes) -> Iterator[memoryview]:
+    """Split a concatenation of framed chunks back into individual chunks,
+    yielded as views of `blob` (no chunk is copied)."""
+    view = memoryview(blob)
     pos = 0
     while pos < len(blob):
         if len(blob) - pos < _CHUNK_HEADER.size:
@@ -51,16 +53,17 @@ def iter_frames(blob: bytes) -> Iterator[bytes]:
         end = pos + _CHUNK_HEADER.size + length
         if end > len(blob):
             raise StreamError("truncated chunk")
-        yield blob[pos:end]
+        yield view[pos:end]
         pos = end
 
 
-def unframe_chunk(chunk: bytes) -> bytes:
-    """Strip framing and decompress; returns the original payload bytes."""
+def unframe_chunk(chunk: bytes) -> Union[bytes, memoryview]:
+    """Strip framing and decompress.  Returns the original payload: a view
+    of `chunk` when it was sent uncompressed, new bytes otherwise."""
     if len(chunk) < _CHUNK_HEADER.size:
         raise StreamError("short chunk header")
     length, wire_id = _CHUNK_HEADER.unpack_from(chunk)
-    payload = chunk[_CHUNK_HEADER.size :]
+    payload = memoryview(chunk)[_CHUNK_HEADER.size :]
     if len(payload) != length:
         raise StreamError(f"chunk length mismatch: header {length}, got {len(payload)}")
     if wire_id == WIRE_ID_NONE:
@@ -101,23 +104,35 @@ class OutputStream:
             raise
         self.chunks_emitted += 1
 
-    def write(self, data: bytes) -> None:
+    def write(self, data) -> None:
+        """Append any C-contiguous bytes-like object.  Whole chunks go to
+        the engine straight from `data`; only a partial chunk at either end
+        is buffered."""
         if self._closed:
             raise StreamClosedError("write on closed stream")
-        self._buffer += data
-        self.bytes_written += len(data)
-        while len(self._buffer) >= self.chunk_size:
-            payload = bytes(self._buffer[: self.chunk_size])
-            del self._buffer[: self.chunk_size]
-            self._emit(payload)
+        view = memoryview(data).cast("B")
+        self.bytes_written += len(view)
+        pos = 0
+        if self._buffer:
+            pos = min(len(view), self.chunk_size - len(self._buffer))
+            self._buffer += view[:pos]
+            if len(self._buffer) < self.chunk_size:
+                return
+            self._emit_buffer()
+        while len(view) - pos >= self.chunk_size:
+            self._emit(view[pos : pos + self.chunk_size])
+            pos += self.chunk_size
+        self._buffer += view[pos:]
+
+    def _emit_buffer(self) -> None:
+        payload, self._buffer = self._buffer, bytearray()
+        self._emit(payload)
 
     def flush(self) -> None:
         if self._closed:
             raise StreamClosedError("flush on closed stream")
         if self._buffer:
-            payload = bytes(self._buffer)
-            self._buffer.clear()
-            self._emit(payload)
+            self._emit_buffer()
 
     def close(self) -> None:
         if not self._closed:
@@ -201,7 +216,8 @@ class InputStream:
         if n == 0:
             return b""
         self._fill(n)
-        data = bytes(self._buffer[self._start : self._start + n])
+        with memoryview(self._buffer) as view:
+            data = view[self._start : self._start + n].tobytes()
         self._start += n
         self.position += n
         return data

@@ -3,9 +3,10 @@
 Images are integer id rasters with a float depth plane, as produced by
 the workload simulator.  Spatial splits paste, database splits merge by
 per-pixel depth, pixel splits interleave by ownership and sample splits
-average.  Inputs contribute only their region-of-interest rectangle, and
-the transfer accounting reflects exactly those bytes (zero for frames
-flagged as node-local transfers).
+average.  Inputs contribute only their region-of-interest rectangle, a
+pixel input only the pixels it owns within it, and the transfer
+accounting reflects exactly those bytes (zero for frames flagged as
+node-local transfers).
 """
 
 from __future__ import annotations
@@ -44,15 +45,17 @@ class Image:
 
     def compute_roi(self) -> Optional[PixelRect]:
         """Bounding box of non-background pixels, in absolute coordinates."""
-        ys, xs = np.nonzero(self.values != BACKGROUND)
-        if len(xs) == 0:
+        foreground = self.values != BACKGROUND
+        rows = np.flatnonzero(foreground.any(axis=1))
+        if len(rows) == 0:
             self.roi = None
             return None
+        cols = np.flatnonzero(foreground[rows[0] : rows[-1] + 1].any(axis=0))
         self.roi = PixelRect(
-            self.rect.x + int(xs.min()),
-            self.rect.y + int(ys.min()),
-            int(xs.max() - xs.min()) + 1,
-            int(ys.max() - ys.min()) + 1,
+            self.rect.x + int(cols[0]),
+            self.rect.y + int(rows[0]),
+            int(cols[-1] - cols[0]) + 1,
+            int(rows[-1] - rows[0]) + 1,
         )
         return self.roi
 
@@ -92,14 +95,25 @@ def composite(
         roi = image.roi if image.roi is not None else image.compute_roi()
         if roi is None:
             continue  # nothing rendered; nothing transferred
-        if stats is not None:
-            stats.roi_pixels += roi.area
-            if not task.local_transfer:
-                stats.bytes_transferred += roi.area * BYTES_PER_PIXEL
         src = _slices(image.rect, roi)
         dst = _slices(frame_rect, roi)
         values = image.values[src]
         depth = image.depth[src]
+        pixel_split = task.subpixel.identity and not task.pixel.identity
+        if pixel_split:
+            # a pixel input moves only the pixels it owns: the ROI's rows and
+            # columns that fall on its offsets within the pixel period
+            p = task.pixel
+            owned = (
+                slice((p.y_offset - roi.y) % p.y_count, None, p.y_count),
+                slice((p.x_offset - roi.x) % p.x_count, None, p.x_count),
+            )
+            values = values[owned]
+            depth = depth[owned]
+        if stats is not None:
+            stats.roi_pixels += roi.area
+            if not task.local_transfer:
+                stats.bytes_transferred += values.size * BYTES_PER_PIXEL
 
         if not task.subpixel.identity:
             if subpixel_sum is None:
@@ -109,15 +123,9 @@ def composite(
             subpixel_sum[dst] += values
             subpixel_count[dst] += 1
             subpixel_depth[dst] = np.minimum(subpixel_depth[dst], depth)
-        elif not task.pixel.identity:
-            ys, xs = np.mgrid[roi.y : roi.y + roi.h, roi.x : roi.x + roi.w]
-            owned = (xs % task.pixel.x_count == task.pixel.x_offset) & (
-                ys % task.pixel.y_count == task.pixel.y_offset
-            )
-            region_vals = out.values[dst]
-            region_depth = out.depth[dst]
-            region_vals[owned] = values[owned]
-            region_depth[owned] = depth[owned]
+        elif pixel_split:
+            out.values[dst][owned] = values
+            out.depth[dst][owned] = depth
         elif task.range_ != FULL_RANGE:
             # database range: merge by depth within the rectangle
             region_vals = out.values[dst]

@@ -70,7 +70,8 @@ class _PipeBuffer:
                 if remaining is not None and remaining <= 0:
                     raise TimeoutError("read timed out")
                 self._cond.wait(remaining)
-            out = bytes(self._data[:n])
+            with memoryview(self._data) as view:
+                out = view[:n].tobytes()
             del self._data[:n]
             return out
 

@@ -146,6 +146,9 @@ class RspSimGroup:
         self._counter = itertools.count()
         self._rng = random.Random(transport.seed)
         self.trace: list[tuple] = []
+        # first member loss seen; members only fail inside `poll`, which
+        # `step` alone calls, so checking the group is O(1)
+        self.failure: Optional[str] = None
         # timers of members (key: member id) and sinks (key: (reader, writer));
         # generations are unique, so heap ties never compare an id to a tuple
         self._timers: list = []  # (time, generation, key); stale entries skipped
@@ -279,8 +282,11 @@ class RspSimGroup:
         members, sinks = self._pop_due()
         for member_id in members:
             self._dirty.add(member_id)
-            for outgoing in self.members[member_id].poll(self.clock):
+            member = self.members[member_id]
+            for outgoing in member.poll(self.clock):
                 self._transmit(member_id, outgoing, self.clock)
+            if member.failed and self.failure is None:
+                self.failure = member.failed
         for key in sinks:
             # a sink run only drains its member's delivery backlog, which
             # `next_event_time` does not read, so the member stays clean
@@ -308,9 +314,8 @@ class RspSimGroup:
         self.clock = target
 
     def _check_failures(self) -> None:
-        for member in self.members.values():
-            if member.failed:
-                raise MemberLostError(member.failed)
+        if self.failure is not None:
+            raise MemberLostError(self.failure)
 
     # --- aggregate metrics --------------------------------------------------
 
@@ -351,6 +356,7 @@ class RspSimEndpoint:
         offset = 0
         deadline = self.group.clock + max_virtual
         while offset < len(data):
+            self.group._check_failures()
             room = self.member.send_room
             if room > 0:
                 take = min(room, len(data) - offset)
@@ -359,7 +365,6 @@ class RspSimEndpoint:
                 offset += take
             else:
                 self.group._step_before(deadline, "send stalled: window never freed")
-                self.group._check_failures()
 
     def recv(self, writer: int, n: int, max_virtual: float = 300.0) -> bytes:
         """Blocking in-order read of the next n bytes of `writer`'s stream."""

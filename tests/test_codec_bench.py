@@ -70,3 +70,19 @@ def test_speeds_are_positive():
     rows = codec_benchmark(builtin_corpus("sparse", buffers=2), engines=[get_engine("rle")])
     assert rows[0].compress_mbps > 0
     assert rows[0].decompress_mbps > 0
+
+
+def test_image_corpus_ratio_and_roundtrip():
+    corpus = builtin_corpus("image", buffers=2)
+    for buf in corpus:
+        pixels = len(buf) // 12
+        ids = np.frombuffer(buf, np.int32, pixels)
+        depth = np.frombuffer(buf, np.float64, offset=4 * pixels)
+        assert 0 < np.count_nonzero(ids) < pixels
+        assert np.array_equal(ids == 0, np.isinf(depth))
+    rows = {r.name: r for r in codec_benchmark(corpus)}
+    assert not any(r.failed for r in rows.values())  # every engine round-trips
+    # runs remove the background and the id stretches; the depth gradients
+    # stay literal, which the dictionary coders squeeze further
+    assert 0.2 < rows["rle"].ratio < 0.8
+    assert rows["ratio"].ratio < rows["fast"].ratio < rows["rle"].ratio

@@ -10,6 +10,7 @@ from eqsim.net import (
     RSP_MULTICAST,
     ConnectionDescription,
     DatagramType,
+    MemberLostError,
     RspConfig,
     RspJoinError,
     SimStallError,
@@ -234,6 +235,27 @@ def test_consume_rate_change_mid_stream_takes_effect():
 
     eps[1].set_consume_rate(0, None)
     assert rsp_recv(eps[1], 0, len(data)) == data
+
+
+def test_silent_member_fails_the_writers_send():
+    # member 2 is in the group's member list but never answers: it neither
+    # acknowledges nor nacks, so each ack request counts as one stall
+    cfg = RspConfig(members=(0, 1, 2), num_buffers=64, max_ack_timeouts=5)
+    transport = SimTransport(seed=5)
+    eps = {i: rsp_join(GROUP, cfg, transport, i) for i in (0, 1)}
+    group = transport.groups[(GROUP.host, GROUP.port)]
+    with pytest.raises(MemberLostError, match="member 2 unresponsive for 5 ack timeouts"):
+        eps[0].send(bytes(4 * cfg.num_buffers * cfg.payload_size), max_virtual=1.0)
+    # a few ack timeouts after the window filled, not the one-second deadline
+    assert group.clock < 2 * cfg.max_ack_timeouts * cfg.ack_timeout_ms / 1000
+    assert group.failure == group.members[0].failed
+    # the loss stays on the group: every later wait on it fails at once
+    clock = group.clock
+    with pytest.raises(MemberLostError):
+        eps[1].recv(0, 1 << 20)
+    with pytest.raises(MemberLostError):
+        eps[0].send(b"more")
+    assert group.clock == clock
 
 
 # --- golden traces -------------------------------------------------------------

@@ -1,6 +1,8 @@
+import hashlib
 import struct
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from eqsim.codec import (
     OutputStream,
     StreamClosedError,
     UnderflowError,
+    frame_chunk,
     get_engine,
 )
 
@@ -149,3 +152,55 @@ def test_string_roundtrip():
     ins = InputStream(chunks)
     assert ins.read_string() == "compound tree"
     assert ins.read_string() == ""
+
+
+def _mixed_writes():
+    """Writes that start mid-chunk, fill a chunk exactly, span several
+    chunks and end mid-chunk, over every kind of buffer a caller may pass."""
+    rng = np.random.default_rng(11)
+    return [
+        b"head!",
+        rng.integers(0, 4, 300, dtype=np.uint8).tobytes(),
+        bytearray(rng.integers(0, 4, 15, dtype=np.uint8).tobytes()),
+        memoryview(rng.integers(0, 4, 192, dtype=np.uint8).tobytes()),
+        rng.integers(0, 3, 50, dtype=np.int32),
+        np.zeros((4, 10), dtype=np.uint8),
+        b"tail",
+    ]
+
+
+# SHA-256 of the frames emitted for the bytes of `_mixed_writes` at chunk
+# size 64, recorded before whole chunks were emitted straight from the
+# caller's data
+PINNED_FRAMES = {
+    None: "91e3665d4e3df9fb77beb721d256721be1bcd7622e4361652699ca2cf47f2f37",
+    "rle": "de72f74af15cbd4ae2d1e12bbeb4572f72c378f17b323c352e63f115cac40a01",
+}
+
+
+@pytest.mark.parametrize("engine_name", [None, "rle"])
+def test_chunk_frames_pinned_for_mixed_writes(engine_name):
+    engine = get_engine(engine_name) if engine_name else None
+    frames = []
+    out = OutputStream(frames.append, chunk_size=64, engine=engine)
+    writes = _mixed_writes()
+    for data in writes:
+        out.write(data)
+    out.flush()
+    flat = b"".join(memoryview(data).tobytes() for data in writes)
+    expected = [
+        frame_chunk(engine.compress(flat[i : i + 64]), engine.wire_id) if engine else frame_chunk(flat[i : i + 64], 0)
+        for i in range(0, len(flat), 64)
+    ]
+    assert frames == expected
+    assert all(type(frame) is bytes for frame in frames)
+    assert hashlib.sha256(b"".join(frames)).hexdigest() == PINNED_FRAMES[engine_name]
+    assert InputStream(frames).read(len(flat)) == flat
+
+
+def test_bytes_written_counts_bytes_of_any_buffer():
+    out = OutputStream(lambda frame: None, chunk_size=64)
+    writes = _mixed_writes()
+    for data in writes:
+        out.write(data)
+    assert out.bytes_written == sum(memoryview(data).nbytes for data in writes)
