@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from collections import deque
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .engines import WIRE_ID_NONE, CompressionEngine, get_engine_by_wire_id
@@ -194,31 +195,49 @@ class InputStream:
         self.remote_endianness = remote_endianness
         self.swaps = remote_endianness != sys.byteorder
         self._fmt = "<" if remote_endianness == "little" else ">"
-        self._buffer = bytearray()
-        self._start = 0
+        self._chunks: deque[memoryview] = deque()  # decoded payloads not yet read
+        self._offset = 0  # bytes of the head chunk already read
+        self._buffered = 0  # unread bytes in `_chunks`
         self.position = 0  # logical bytes consumed
 
     def _fill(self, n: int) -> None:
-        while len(self._buffer) - self._start < n:
+        while self._buffered < n:
             chunk = self._next_chunk()
             if chunk is None:
                 raise UnderflowError(
-                    f"need {n} bytes, {len(self._buffer) - self._start} buffered, source exhausted"
+                    f"need {n} bytes, {self._buffered} buffered, source exhausted"
                 )
-            if self._start:
-                del self._buffer[: self._start]
-                self._start = 0
-            self._buffer += unframe_chunk(chunk)
+            payload = memoryview(unframe_chunk(chunk))
+            if payload:
+                self._chunks.append(payload)
+                self._buffered += len(payload)
 
     def read(self, n: int) -> bytes:
+        """Return the next `n` bytes.  They are copied once, out of the
+        decoded chunks: one slice when a single chunk holds them, one join
+        when they span several.  A read that underflows consumes nothing."""
         if n < 0:
             raise ValueError("negative read")
         if n == 0:
             return b""
         self._fill(n)
-        with memoryview(self._buffer) as view:
-            data = view[self._start : self._start + n].tobytes()
-        self._start += n
+        chunks, start = self._chunks, self._offset
+        end = start + n
+        if end <= len(chunks[0]):
+            data = chunks[0][start:end].tobytes()
+        else:
+            pieces = [chunks.popleft()[start:]]
+            end = n - len(pieces[0])
+            while end > len(chunks[0]):
+                pieces.append(chunks.popleft())
+                end -= len(pieces[-1])
+            pieces.append(chunks[0][:end])
+            data = b"".join(pieces)
+        if end == len(chunks[0]):
+            chunks.popleft()
+            end = 0
+        self._offset = end
+        self._buffered -= n
         self.position += n
         return data
 

@@ -83,7 +83,7 @@ def composite(
     width, height = resolution
     frame_rect = PixelRect(0, 0, width, height)
     out = Image.blank(frame_rect)
-    covered = np.zeros((height, width), dtype=bool)
+    pasted: list[PixelRect] = []  # viewports of the spatial inputs so far
 
     subpixel_sum: Optional[np.ndarray] = None
     subpixel_count: Optional[np.ndarray] = None
@@ -122,33 +122,31 @@ def composite(
                 subpixel_depth = np.full((height, width), np.inf)
             subpixel_sum[dst] += values
             subpixel_count[dst] += 1
-            subpixel_depth[dst] = np.minimum(subpixel_depth[dst], depth)
+            np.minimum(subpixel_depth[dst], depth, out=subpixel_depth[dst])
         elif pixel_split:
             out.values[dst][owned] = values
             out.depth[dst][owned] = depth
         elif task.range_ != FULL_RANGE:
             # database range: merge by depth within the rectangle
-            region_vals = out.values[dst]
             region_depth = out.depth[dst]
             closer = depth < region_depth
-            region_vals[closer] = values[closer]
-            region_depth[closer] = depth[closer]
+            np.copyto(out.values[dst], values, where=closer)
+            np.copyto(region_depth, depth, where=closer)
         else:
             # spatial split: pasted rectangles must not overlap
-            task_dst = _slices(frame_rect, task.viewport)
-            if covered[task_dst].any():
+            if any(task.viewport.intersect(vp) for vp in pasted):
                 raise CompositeError(
                     f"overlapping spatial inputs at {task.viewport} (invalid decomposition)"
                 )
-            covered[task_dst] = True
+            pasted.append(task.viewport)
             out.values[dst] = values
             out.depth[dst] = depth
 
     if subpixel_sum is not None:
         sampled = subpixel_count > 0
         # non-integral averages floor; id rasters from equal samples stay exact
-        averaged = subpixel_sum[sampled] // subpixel_count[sampled]
-        out.values[sampled] = averaged.astype(np.int32)
-        out.depth[sampled] = subpixel_depth[sampled]
+        np.floor_divide(subpixel_sum, subpixel_count, out=subpixel_sum, where=sampled)
+        np.copyto(out.values, subpixel_sum, where=sampled, casting="unsafe")
+        np.copyto(out.depth, subpixel_depth, where=sampled)
 
     return out

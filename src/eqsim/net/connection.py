@@ -11,6 +11,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,35 +45,64 @@ class ConnectionClosedError(TransportError):
 
 
 class _PipeBuffer:
-    """One direction of an in-process pipe."""
+    """One direction of an in-process pipe: a queue of immutable pieces.
+
+    `write` queues a `bytes` object as it is and copies any other buffer
+    (bytearray, memoryview, numpy array), so the reader never sees memory
+    the sender may still change.  `read_exact` hands over the head piece
+    itself when it holds exactly the bytes asked for, and otherwise copies
+    only the bytes it returns.
+    """
 
     def __init__(self):
-        self._data = bytearray()
+        self._pieces: deque[bytes] = deque()
+        self._offset = 0  # bytes of the head piece already read
+        self._size = 0  # unread bytes in `_pieces`
         self._cond = threading.Condition()
         self._closed = False
 
-    def write(self, data: bytes) -> None:
+    def write(self, data) -> None:
+        piece = data if isinstance(data, bytes) else memoryview(data).tobytes()
         with self._cond:
             if self._closed:
                 raise ConnectionClosedError("peer closed")
-            self._data += data
-            self._cond.notify_all()
+            if piece:
+                self._pieces.append(piece)
+                self._size += len(piece)
+                self._cond.notify_all()
 
     def read_exact(self, n: int, timeout: Optional[float] = None) -> bytes:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while len(self._data) < n:
+            while self._size < n:
                 if self._closed:
                     raise ConnectionClosedError(
-                        f"closed with {len(self._data)} of {n} bytes available"
+                        f"closed with {self._size} of {n} bytes available"
                     )
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     raise TimeoutError("read timed out")
                 self._cond.wait(remaining)
-            with memoryview(self._data) as view:
-                out = view[:n].tobytes()
-            del self._data[:n]
+            if n == 0:
+                return b""
+            pieces, start = self._pieces, self._offset
+            end = start + n
+            if end <= len(pieces[0]):
+                head = pieces[0]
+                out = head if start == 0 and end == len(head) else head[start:end]
+            else:
+                parts = [memoryview(pieces.popleft())[start:]]
+                end = n - len(parts[0])
+                while end > len(pieces[0]):
+                    parts.append(pieces.popleft())
+                    end -= len(parts[-1])
+                parts.append(memoryview(pieces[0])[:end])
+                out = b"".join(parts)
+            if end == len(pieces[0]):
+                pieces.popleft()
+                end = 0
+            self._offset = end
+            self._size -= n
             return out
 
     def close(self) -> None:

@@ -7,10 +7,12 @@ registered handlers, in per-peer receive order.  Commands with an unknown
 type are counted and reported, not fatal.
 
 Frame layout: u32 LE frame length | u16 command type | u32 request id |
-payload.  Request id 0 means fire-and-forget; nonzero ids correlate a
-blocking `request` with its REPLY.  A request still pending when its
-peer's connection ends, or when the local node closes, fails at once with
-ConnectionClosedError.
+payload.  The 10-byte header and the payload travel as two writes under
+the peer's send lock, so the payload is never copied to prepend the
+header and frames from concurrent senders never interleave.  Request id
+0 means fire-and-forget; nonzero ids correlate a blocking `request` with
+its REPLY.  A request still pending when its peer's connection ends, or
+when the local node closes, fails at once with ConnectionClosedError.
 """
 
 from __future__ import annotations
@@ -68,9 +70,11 @@ class RemoteNode:
         self.alive = True
 
     def send_raw(self, cmd_type: int, request_id: int, payload: bytes) -> None:
-        frame = _FRAME.pack(6 + len(payload), cmd_type, request_id) + payload
+        header = _FRAME.pack(6 + len(payload), cmd_type, request_id)
         with self._send_lock:
-            self.connection.send(frame)
+            self.connection.send(header)
+            if payload:
+                self.connection.send(payload)
 
     def send_command(self, cmd_type: int, payload: bytes = b"") -> None:
         self.send_raw(cmd_type, 0, payload)

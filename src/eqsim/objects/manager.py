@@ -14,6 +14,8 @@ compressed per chunk) produced by the codec layer's output streams.  A
 commit serializes the instance once, in this wire form; the history of
 buffered objects keeps that payload per version, and it serves the push,
 the map reply and the catch-up pushes to a slave mapped behind head.
+A slave keeps each payload it receives as a view of the command that
+carried it, so the stream's reads are its only copy.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ class ObjectManager:
             raise
 
         mapped_version, change_type, _, used_cache = struct.unpack_from("<QBBB", reply)
-        blob = reply[11:]
+        blob = memoryview(reply)[11:]
         if used_cache:
             blob = self.cache.get(object_id, mapped_version)
             if blob is None:
@@ -458,7 +460,7 @@ class ObjectManager:
     def _handle_push(self, payload: bytes, via_multicast: bool) -> None:
         raw_id, version, kind, mask = _PUSH_HEAD.unpack_from(payload)
         object_id = uuid.UUID(bytes=raw_id)
-        blob = payload[_PUSH_HEAD.size :]
+        blob = memoryview(payload)[_PUSH_HEAD.size :]
         with self._cond:
             entry = self._slaves.get(object_id)
             if entry is None:
@@ -489,7 +491,7 @@ class ObjectManager:
 
     def _handle_preload(self, payload: bytes) -> None:
         raw_id, version, _, _ = _PUSH_HEAD.unpack_from(payload)
-        self.cache.put(uuid.UUID(bytes=raw_id), version, payload[_PUSH_HEAD.size :])
+        self.cache.put(uuid.UUID(bytes=raw_id), version, memoryview(payload)[_PUSH_HEAD.size :])
 
     def _on_peer_lost(self, peer: RemoteNode) -> None:
         with self._cond:

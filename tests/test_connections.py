@@ -1,3 +1,5 @@
+import struct
+import sys
 import threading
 import time
 
@@ -9,9 +11,11 @@ from eqsim.net import (
     TCP,
     Command,
     ConnectError,
+    Connection,
     ConnectionClosedError,
     ConnectionDescription,
     LocalNode,
+    PipeConnection,
     RateLimitedConnection,
     RemoteError,
     WallClockBucket,
@@ -60,6 +64,83 @@ def test_pipe_close_observable_after_delivered_bytes():
     with pytest.raises(ConnectionClosedError):
         server.recv(1, timeout=1)
     listener.close()
+
+
+def test_pipe_exact_read_hands_over_the_sent_bytes():
+    a, b = PipeConnection.pair()
+    data = bytes(range(256)) * 64
+    a.send(data)
+    assert b.recv(len(data), timeout=1) is data
+
+
+def test_pipe_reads_split_and_span_pieces():
+    a, b = PipeConnection.pair()
+    for piece in (b"abcdef", b"gh", b"ijklmno"):
+        a.send(piece)
+    got = [b.recv(n, timeout=1) for n in (2, 3, 4, 6)]
+    assert got == [b"ab", b"cde", b"fghi", b"jklmno"]
+    assert all(type(r) is bytes for r in got)
+
+
+@pytest.mark.parametrize("kind", ["bytearray", "memoryview", "numpy"])
+def test_pipe_mutable_buffer_arrives_as_sent(kind):
+    a, b = PipeConnection.pair()
+    raw = bytearray(b"0123456789")
+    data = {"bytearray": raw, "memoryview": memoryview(raw), "numpy": np.frombuffer(raw, np.uint8)}[kind]
+    a.send(data)
+    raw[:] = b"x" * 10
+    assert b.recv(10, timeout=1) == b"0123456789"
+    a.send(np.arange(3, dtype=np.int32))  # counted in bytes, not elements
+    assert b.recv(12, timeout=1) == np.arange(3, dtype=np.int32).tobytes()
+
+
+def test_pipe_concurrent_writer_and_reader_see_one_stream():
+    a, b = PipeConnection.pair()
+    rng = np.random.default_rng(3)
+    data = rng.integers(0, 256, 200_000, dtype=np.uint8).tobytes()
+    cuts = np.sort(rng.integers(0, len(data), 400))
+    reads = np.diff(np.concatenate(([0], np.sort(rng.integers(0, len(data), 300)), [len(data)])))
+
+    def writer():
+        for i, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, len(data)])):
+            a.send(data[lo:hi] if i % 2 else bytearray(data[lo:hi]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=writer)
+        thread.start()
+        got = b"".join(b.recv(int(n), timeout=10) for n in reads)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == data
+
+
+def test_pipe_timeout_consumes_nothing():
+    a, b = PipeConnection.pair()
+    a.send(b"abc")
+    with pytest.raises(TimeoutError):
+        b.recv(5, timeout=0.05)
+    a.send(b"de")
+    assert b.recv(5, timeout=1) == b"abcde"
+
+
+def test_pipe_close_after_split_pieces():
+    a, b = PipeConnection.pair()
+    a.send(b"abc")
+    a.send(b"defg")
+    a.close()
+    assert b.recv(2, timeout=1) == b"ab"
+    assert b.recv(3, timeout=1) == b"cde"
+    with pytest.raises(ConnectionClosedError, match="closed with 2 of 3 bytes"):
+        b.recv(3, timeout=1)
+    assert b.recv(2, timeout=1) == b"fg"
+    with pytest.raises(ConnectionClosedError):
+        b.recv(1, timeout=1)
+    with pytest.raises(ConnectionClosedError):
+        a.send(b"late")
 
 
 def test_tcp_many_messages_order_preserved():
@@ -214,5 +295,94 @@ def test_pending_request_fails_at_once_when_connection_lost(closing):
     assert not closer.is_alive()
     with pytest.raises(ConnectionClosedError):
         peer.request(CMD_PING, b"", timeout=3)  # a later request fails at once too
+    a.close()
+    b.close()
+
+
+class RecordingConnection(Connection):
+    """Records every piece a node writes to one connection."""
+
+    def __init__(self, inner: Connection):
+        self._inner = inner
+        self.sent = []
+
+    def send(self, data) -> None:
+        self.sent.append(data)
+        self._inner.send(data)
+
+    def recv(self, n: int, timeout=None) -> bytes:
+        return self._inner.recv(n, timeout)
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+def test_command_travels_as_header_and_payload_pieces():
+    a, b, peer = make_node_pair()
+    received = []
+    a.register_handler(CMD_LOG, lambda cmd: received.append(cmd.payload))
+    peer.connection = recorder = RecordingConnection(peer.connection)
+    payload = bytes(range(200)) * 50
+    peer.send_command(CMD_LOG, payload)
+    peer.send_command(CMD_LOG, b"")
+    deadline = time.monotonic() + 5
+    while len(received) < 2 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert [len(piece) for piece in recorder.sent] == [10, len(payload), 10]
+    assert recorder.sent[1] is payload
+    assert sum(len(piece) for piece in recorder.sent) == 10 + len(payload) + 10
+    assert received[0] is payload  # the pipe handed the sent object over
+    assert received[1] == b""
+    a.close()
+    b.close()
+
+
+class YieldingConnection(RecordingConnection):
+    def send(self, data) -> None:
+        self._inner.send(data)
+        time.sleep(0)
+
+
+def test_concurrent_senders_keep_frames_whole():
+    """Header and payload are two writes: concurrent senders on one peer
+    must still never interleave inside a frame."""
+    a, b, peer = make_node_pair()
+    received = []
+    done = threading.Event()
+    n_threads, n_frames = 4, 200
+
+    def handler(cmd: Command):
+        received.append(cmd.payload)
+        if len(received) == n_threads * n_frames:
+            done.set()
+
+    a.register_handler(CMD_LOG, handler)
+    # yield after every write, so another sender runs between the header
+    # and the payload unless the send lock keeps it out
+    peer.connection = YieldingConnection(peer.connection)
+
+    def sender(who: int):
+        for seq in range(n_frames):
+            filler = bytes([who]) * ((seq * 37 + who) % 200)
+            peer.send_command(CMD_LOG, struct.pack("<II", who, seq) + filler)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sender, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+        assert done.wait(20)
+    finally:
+        sys.setswitchinterval(interval)
+    seen = {who: [] for who in range(n_threads)}
+    for payload in received:
+        who, seq = struct.unpack_from("<II", payload)
+        assert payload[8:] == bytes([who]) * ((seq * 37 + who) % 200)
+        seen[who].append(seq)
+    assert all(seqs == list(range(n_frames)) for seqs in seen.values())
     a.close()
     b.close()

@@ -204,3 +204,56 @@ def test_bytes_written_counts_bytes_of_any_buffer():
     for data in writes:
         out.write(data)
     assert out.bytes_written == sum(memoryview(data).nbytes for data in writes)
+
+
+def _frames(data: bytes, chunk_size: int, engine=None) -> list:
+    frames = []
+    out = OutputStream(frames.append, chunk_size=chunk_size, engine=engine)
+    out.write(data)
+    out.flush()
+    return frames
+
+
+@pytest.mark.parametrize("engine_name", [None, "rle"])
+@given(st.lists(st.integers(0, 200), max_size=30))
+def test_reads_span_many_chunks(engine_name, sizes):
+    engine = get_engine(engine_name) if engine_name else None
+    data = np.random.default_rng(5).integers(0, 3, 2000, dtype=np.uint8).tobytes()
+    ins = InputStream(_frames(data, 16, engine))
+    pos = 0
+    for n in sizes:
+        if pos + n > len(data):
+            break
+        assert ins.read(n) == data[pos : pos + n]
+        pos += n
+        assert ins.position == pos
+    assert ins.read(len(data) - pos) == data[pos:]
+    with pytest.raises(UnderflowError):
+        ins.read(1)
+
+
+@pytest.mark.parametrize("engine_name", [None, "rle"])
+def test_read_returns_bytes(engine_name):
+    engine = get_engine(engine_name) if engine_name else None
+    data = bytes(range(256)) * 4
+    ins = InputStream(_frames(data, 64, engine))
+    # inside one chunk, exactly one chunk, across chunks, the rest
+    reads = [ins.read(n) for n in (10, 54, 64, 200, len(data) - 328)]
+    assert all(type(r) is bytes for r in reads)
+    assert b"".join(reads) == data
+
+
+def test_underflow_with_callable_source_consumes_nothing():
+    pending = _frames(b"abcdefgh" * 3, 8)  # three chunks
+    source = lambda: pending.pop(0) if pending else None  # noqa: E731
+    ins = InputStream(source)
+    assert ins.read(3) == b"abc"
+    with pytest.raises(UnderflowError):
+        ins.read(30)
+    assert ins.position == 3
+    assert ins.read(5) == b"defgh"
+    assert ins.position == 8
+    # a live source delivers more later: the buffered bytes still come first
+    pending.extend(_frames(b"ijkl", 8))
+    assert ins.read(20) == b"abcdefgh" * 2 + b"ijkl"
+    assert ins.position == 28

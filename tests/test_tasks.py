@@ -1,0 +1,112 @@
+"""Task generation, tiling and destination-channel derivation."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from eqsim.compound import (
+    ConfigError,
+    PixelRect,
+    derive_channels,
+    generate_tasks,
+    make_tiles,
+    parse_config,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def load(name: str):
+    return parse_config((FIXTURES / name).read_text())
+
+
+def coverage(rects, width: int, height: int) -> np.ndarray:
+    """How many of `rects` cover each pixel of a width x height frame."""
+    count = np.zeros((height, width), dtype=np.int64)
+    for r in rects:
+        assert r.w > 0 and r.h > 0
+        assert 0 <= r.x and r.x + r.w <= width and 0 <= r.y and r.y + r.h <= height
+        count[r.y : r.y + r.h, r.x : r.x + r.w] += 1
+    return count
+
+
+@given(
+    st.integers(0, 20),
+    st.integers(0, 20),
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.integers(1, 70),
+    st.integers(1, 70),
+)
+def test_make_tiles_covers_viewport_exactly_once(x, y, w, h, tw, th):
+    vp = PixelRect(x, y, w, h)
+    tiles = make_tiles(vp, (tw, th))
+    count = coverage(tiles, x + w, y + h)
+    assert (count[y:, x:] == 1).all()
+    assert count.sum() == vp.area
+    assert all(t.w <= tw and t.h <= th for t in tiles)
+    assert tiles == sorted(tiles, key=lambda t: (t.y, t.x))  # row-major
+
+
+@pytest.mark.parametrize("size", [(0, 8), (8, 0), (-1, 1)])
+def test_make_tiles_rejects_empty_tiles(size):
+    with pytest.raises(ConfigError):
+        make_tiles(PixelRect(0, 0, 10, 10), size)
+
+
+@pytest.mark.parametrize("resolution", [(1280, 720), (1281, 721), (7, 3)])
+def test_display_wall_tasks_tile_destination_without_overlap(resolution):
+    compound = load("display_wall.eqc").compounds[0]
+    tasks = generate_tasks(compound, frame=0, resolution=resolution)
+    assert [t.channel for t in tasks] == ["ch00", "ch10"]
+    assert (coverage([t.viewport for t in tasks], *resolution) == 1).all()
+
+
+@pytest.mark.parametrize("first", [0, 1, 2, 5, 100])
+def test_dplex_activates_one_producer_per_frame(first):
+    compound = load("dplex.eqc").compounds[0]
+    producers = []
+    for frame in range(first, first + 3):
+        tasks = generate_tasks(compound, frame=frame)
+        assert len(tasks) == 1
+        assert tasks[0].frame == frame
+        producers.append(tasks[0].channel)
+    assert sorted(producers) == ["source1", "source2", "source3"]
+    assert producers[0] == f"source{first % 3 + 1}"
+
+
+def test_derive_channels_one_per_intersecting_view_and_segment():
+    cfg = load("display_wall.eqc")
+    canvas, layout = cfg.canvases[0], cfg.layout("quad")
+    expected = []
+    for view in layout.views:
+        for segment in canvas.segments:
+            a, b = view.viewport, segment.viewport
+            x0, y0 = max(a.x, b.x), max(a.y, b.y)
+            x1, y1 = min(a.x + a.w, b.x + b.w), min(a.y + a.h, b.y + b.h)
+            if x1 > x0 and y1 > y0:
+                expected.append((view.name, segment.name, (x0, y0, x1 - x0, y1 - y0)))
+    channels = derive_channels(canvas, layout)
+    got = [
+        (c.view.name, c.segment.name, (c.viewport.x, c.viewport.y, c.viewport.w, c.viewport.h))
+        for c in channels
+    ]
+    assert [g[:2] for g in got] == [e[:2] for e in expected]
+    for (_, _, vp), (_, _, want) in zip(got, expected):
+        assert vp == pytest.approx(want)
+    # views a, b, c lie in one segment each; d straddles all four
+    assert len(channels) == 7
+    assert [c.name for c in channels][:3] == ["a.s00", "b.s10", "c.s01"]
+    for c in channels:
+        assert c.frustum == canvas.wall.sub_frustum(c.viewport)
+
+
+def test_derive_channels_skips_views_outside_every_segment():
+    cfg = load("display_wall.eqc")
+    canvas, layout = cfg.canvases[0], cfg.layout("quad")
+    canvas.segments = [s for s in canvas.segments if s.name == "s11"]
+    channels = derive_channels(canvas, layout)
+    assert [c.name for c in channels] == ["d.s11"]
