@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import struct
 import sys
-from collections import deque
 from typing import Callable, Iterable, Iterator, Optional, Union
 
+from ..bytequeue import ByteQueue
 from .engines import WIRE_ID_NONE, CompressionEngine, get_engine_by_wire_id
 
 DEFAULT_CHUNK_SIZE = 64 * 1024
@@ -177,7 +177,8 @@ class InputStream:
 
     `source` yields framed chunks (as produced by an OutputStream sink);
     it may be any iterable, or a callable returning the next chunk and
-    None at end of stream.
+    None at end of stream.  Decoded payloads wait in a `ByteQueue`, so a
+    read copies its bytes once, out of the payloads.
     """
 
     def __init__(
@@ -195,51 +196,25 @@ class InputStream:
         self.remote_endianness = remote_endianness
         self.swaps = remote_endianness != sys.byteorder
         self._fmt = "<" if remote_endianness == "little" else ">"
-        self._chunks: deque[memoryview] = deque()  # decoded payloads not yet read
-        self._offset = 0  # bytes of the head chunk already read
-        self._buffered = 0  # unread bytes in `_chunks`
+        self._payloads = ByteQueue()  # decoded payloads not yet read
         self.position = 0  # logical bytes consumed
 
     def _fill(self, n: int) -> None:
-        while self._buffered < n:
+        while len(self._payloads) < n:
             chunk = self._next_chunk()
             if chunk is None:
                 raise UnderflowError(
-                    f"need {n} bytes, {self._buffered} buffered, source exhausted"
+                    f"need {n} bytes, {len(self._payloads)} buffered, source exhausted"
                 )
-            payload = memoryview(unframe_chunk(chunk))
-            if payload:
-                self._chunks.append(payload)
-                self._buffered += len(payload)
+            self._payloads.append(unframe_chunk(chunk))
 
     def read(self, n: int) -> bytes:
-        """Return the next `n` bytes.  They are copied once, out of the
-        decoded chunks: one slice when a single chunk holds them, one join
-        when they span several.  A read that underflows consumes nothing."""
+        """Return the next `n` bytes.  A read that underflows consumes nothing."""
         if n < 0:
             raise ValueError("negative read")
-        if n == 0:
-            return b""
         self._fill(n)
-        chunks, start = self._chunks, self._offset
-        end = start + n
-        if end <= len(chunks[0]):
-            data = chunks[0][start:end].tobytes()
-        else:
-            pieces = [chunks.popleft()[start:]]
-            end = n - len(pieces[0])
-            while end > len(chunks[0]):
-                pieces.append(chunks.popleft())
-                end -= len(pieces[-1])
-            pieces.append(chunks[0][:end])
-            data = b"".join(pieces)
-        if end == len(chunks[0]):
-            chunks.popleft()
-            end = 0
-        self._offset = end
-        self._buffered -= n
         self.position += n
-        return data
+        return self._payloads.take(n)
 
     def _unpack(self, code: str, size: int):
         return struct.unpack(self._fmt + code, self.read(size))[0]

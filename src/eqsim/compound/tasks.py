@@ -4,8 +4,7 @@ Walking a validated tree for a frame yields one render task per active
 leaf, with viewport, range, pixel and subpixel parameters composed along
 the path.  Split overrides (from the balancing equalizers) replace the
 static viewport or range of the addressed nodes.  Tile compounds emit no
-static tasks; their work arrives through the shared queue as tile
-packages.
+static tasks, and their tile consumers yield no tasks yet.
 """
 
 from __future__ import annotations

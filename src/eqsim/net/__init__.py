@@ -33,8 +33,5 @@ from .simnet import (
     RspSimGroup,
     SimStallError,
     SimTransport,
-    rsp_join,
-    rsp_recv,
-    rsp_send,
 )
 from .udp import RspUdpEndpoint, UdpMulticastTransport

@@ -11,9 +11,11 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
+
+from ..bytequeue import ByteQueue
+from .bucket import TokenBucket
 
 LOCAL_PIPE = "localPipe"
 TCP = "tcp"
@@ -45,19 +47,16 @@ class ConnectionClosedError(TransportError):
 
 
 class _PipeBuffer:
-    """One direction of an in-process pipe: a queue of immutable pieces.
+    """One direction of an in-process pipe: a `ByteQueue` under a condition.
 
     `write` queues a `bytes` object as it is and copies any other buffer
     (bytearray, memoryview, numpy array), so the reader never sees memory
-    the sender may still change.  `read_exact` hands over the head piece
-    itself when it holds exactly the bytes asked for, and otherwise copies
-    only the bytes it returns.
+    the sender may still change; `read_exact` takes from the queue, so an
+    exact read hands over the `bytes` object that was sent.
     """
 
     def __init__(self):
-        self._pieces: deque[bytes] = deque()
-        self._offset = 0  # bytes of the head piece already read
-        self._size = 0  # unread bytes in `_pieces`
+        self._queue = ByteQueue()
         self._cond = threading.Condition()
         self._closed = False
 
@@ -66,44 +65,22 @@ class _PipeBuffer:
         with self._cond:
             if self._closed:
                 raise ConnectionClosedError("peer closed")
-            if piece:
-                self._pieces.append(piece)
-                self._size += len(piece)
-                self._cond.notify_all()
+            self._queue.append(piece)
+            self._cond.notify_all()
 
     def read_exact(self, n: int, timeout: Optional[float] = None) -> bytes:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while self._size < n:
+            while len(self._queue) < n:
                 if self._closed:
                     raise ConnectionClosedError(
-                        f"closed with {self._size} of {n} bytes available"
+                        f"closed with {len(self._queue)} of {n} bytes available"
                     )
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     raise TimeoutError("read timed out")
                 self._cond.wait(remaining)
-            if n == 0:
-                return b""
-            pieces, start = self._pieces, self._offset
-            end = start + n
-            if end <= len(pieces[0]):
-                head = pieces[0]
-                out = head if start == 0 and end == len(head) else head[start:end]
-            else:
-                parts = [memoryview(pieces.popleft())[start:]]
-                end = n - len(parts[0])
-                while end > len(pieces[0]):
-                    parts.append(pieces.popleft())
-                    end -= len(parts[-1])
-                parts.append(memoryview(pieces[0])[:end])
-                out = b"".join(parts)
-            if end == len(pieces[0]):
-                pieces.popleft()
-                end = 0
-            self._offset = end
-            self._size -= n
-            return out
+            return self._queue.take(n)
 
     def close(self) -> None:
         with self._cond:
@@ -168,15 +145,14 @@ class RateLimitedConnection(Connection):
 
 
 class WallClockBucket:
-    """Thread-safe token bucket against the wall clock, for link shaping."""
+    """Thread-safe `TokenBucket` against the wall clock, for link shaping."""
 
     def __init__(self, rate_bytes_per_sec: float, capacity: Optional[float] = None):
         if rate_bytes_per_sec <= 0:
             raise ValueError("rate must be positive")
         self.rate = rate_bytes_per_sec
         self.capacity = capacity if capacity is not None else rate_bytes_per_sec / 100.0
-        self._credits = self.capacity
-        self._last = time.monotonic()
+        self._bucket = TokenBucket(self.capacity, self.rate, last_fill=time.monotonic())
         self._lock = threading.Lock()
 
     def acquire_blocking(self, n: float) -> None:
@@ -185,15 +161,13 @@ class WallClockBucket:
             take = min(n, self.capacity)
             with self._lock:
                 now = time.monotonic()
-                self._credits = min(self.capacity, self._credits + (now - self._last) * self.rate)
-                self._last = now
-                if self._credits >= take:
-                    self._credits -= take
-                    wait = 0.0
-                else:
-                    wait = (take - self._credits) / self.rate
-                    self._credits = 0.0
-                    self._last = now + wait  # pre-charge the sleep
+                wait = self._bucket.acquire(take, now)
+                if wait > 0:
+                    # pre-charge the sleep, queued behind sleeps that other
+                    # threads have pre-charged: it earns the missing credits
+                    wait += max(0.0, self._bucket.last_fill - now)
+                    self._bucket.credits = 0.0
+                    self._bucket.last_fill = now + wait
             if wait > 0:
                 time.sleep(wait)
             n -= take

@@ -32,11 +32,11 @@ the exact same protocol code.
 from __future__ import annotations
 
 import struct
-from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
 
+from ..bytequeue import ByteQueue
 from .bucket import ADVANCE_OK, RETRANSMIT_NEEDED, TokenBucket, congestion_update
 
 HEADER = struct.Struct("<BBHI")
@@ -179,7 +179,6 @@ class _ReaderState:
         "next_expected",
         "pending",
         "delivered",
-        "delivered_bytes",
         "tail",
         "nack_due",
         "last_heard",
@@ -188,15 +187,14 @@ class _ReaderState:
     def __init__(self, now: float):
         self.next_expected = 0
         self.pending: dict[int, bytes] = {}
-        self.delivered: deque[bytes] = deque()
-        self.delivered_bytes = 0
+        self.delivered = ByteQueue()  # in-order payloads not yet consumed
         self.tail = -1          # highest sequence known to exist
         self.nack_due: Optional[float] = None
         self.last_heard = now
 
     @property
     def buffered(self) -> int:
-        return len(self.pending) + len(self.delivered)
+        return len(self.pending) + self.delivered.pieces
 
 
 class RspMember:
@@ -220,7 +218,7 @@ class RspMember:
         self._beacon_interval = cfg.beacon_interval_ms / 1000.0
 
         # writer side
-        self._outq = bytearray()
+        self._outq = ByteQueue()
         self.next_seq = 0
         self.window_base = 0
         self._window: dict[int, bytes] = {}
@@ -257,8 +255,7 @@ class RspMember:
         if self.failed:
             raise MemberLostError(self.failed)
         accepted = min(self.send_room, len(data))
-        if accepted:
-            self._outq += data[:accepted]
+        self._outq.append(bytes(data[:accepted]))
         return accepted
 
     @property
@@ -295,25 +292,12 @@ class RspMember:
     # --- read path ----------------------------------------------------------
 
     def readable(self, writer: int) -> int:
-        reader = self.readers[writer]
-        return reader.delivered_bytes
+        return len(self.readers[writer].delivered)
 
     def consume(self, writer: int, n: int) -> bytes:
         """Pop up to n contiguous stream bytes, freeing receive buffers."""
-        reader = self.readers[writer]
-        out = bytearray()
-        while n > 0 and reader.delivered:
-            head = reader.delivered[0]
-            if len(head) <= n:
-                out += head
-                n -= len(head)
-                reader.delivered.popleft()
-            else:
-                out += head[:n]
-                reader.delivered[0] = head[n:]
-                n = 0
-        reader.delivered_bytes -= len(out)
-        return bytes(out)
+        delivered = self.readers[writer].delivered
+        return delivered.take(min(n, len(delivered)))
 
     # --- protocol ----------------------------------------------------------
 
@@ -362,16 +346,13 @@ class RspMember:
         if seq == reader.next_expected:
             # a full delivery backlog withholds the ack and so throttles the
             # writer through the sliding window
-            if len(reader.delivered) >= self.cfg.num_buffers:
+            if reader.delivered.pieces >= self.cfg.num_buffers:
                 self.stats.dropped_full += 1
                 return
             reader.delivered.append(dgram.payload)
-            reader.delivered_bytes += len(dgram.payload)
             reader.next_expected += 1
             while reader.next_expected in reader.pending:
-                payload = reader.pending.pop(reader.next_expected)
-                reader.delivered.append(payload)
-                reader.delivered_bytes += len(payload)
+                reader.delivered.append(reader.pending.pop(reader.next_expected))
                 reader.next_expected += 1
             if not self._gaps_exist(reader):
                 reader.nack_due = None
@@ -505,8 +486,7 @@ class RspMember:
                 if wait > 0:
                     self._send_wait_until = now + max(wait, 1e-6)
                     break
-                payload = bytes(self._outq[:size])
-                del self._outq[:size]
+                payload = self._outq.take(size)
                 seq = self.next_seq
                 self.next_seq += 1
                 self._window[seq] = payload

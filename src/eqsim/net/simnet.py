@@ -43,6 +43,7 @@ import itertools
 import random
 from typing import Callable, Optional
 
+from ..bytequeue import ByteQueue
 from .connection import ConnectionDescription
 from .rsp import Datagram, DatagramType, MemberLostError, RspConfig, RspError, RspJoinError, RspMember
 
@@ -83,12 +84,14 @@ class SimTransport:
 
 
 class _Sink:
-    """Models the application consuming one writer's stream."""
+    """Models the application consuming one writer's stream: it moves the
+    member's delivered bytes into `buffer`, a `ByteQueue` that
+    `RspSimEndpoint.recv` takes from."""
 
     def __init__(self, member: RspMember, writer: int, now: float):
         self.member = member
         self.writer = writer
-        self.buffer = bytearray()
+        self.buffer = ByteQueue()
         self.rate: Optional[float] = None  # bytes/s; None = drain immediately
         self.paused = False
         self.credits = 0.0
@@ -107,30 +110,36 @@ class _Sink:
             return 0.0
         return self.last + max((need - self.credits) / self.rate, 1e-6)
 
+    def _refill(self, now: float) -> None:
+        self.credits = min(
+            self.member.cfg.payload_size * 16.0,
+            self.credits + (now - self.last) * self.rate,
+        )
+        self.last = now
+
+    def set_rate(self, rate: Optional[float], now: float) -> None:
+        """Change the rate from `now` on: credits earned so far count at the
+        old rate, and an unlimited sink starts earning at `now`."""
+        if self.rate is not None:
+            self._refill(now)
+        self.last = now
+        self.rate = rate
+
     def run(self, now: float) -> None:
         if self.paused:
             return
         readable = self.member.readable(self.writer)
         if self.rate is not None:
-            self.credits = min(
-                self.member.cfg.payload_size * 16.0,
-                self.credits + (now - self.last) * self.rate,
-            )
-            self.last = now
+            self._refill(now)
             take = min(readable, int(self.credits + 1e-6))
             if take < min(readable, self.member.cfg.payload_size):
                 return
         else:
             take = readable
         if take > 0:
-            self.buffer += self.member.consume(self.writer, take)
+            self.buffer.append(self.member.consume(self.writer, take))
             if self.rate is not None:
                 self.credits = max(0.0, self.credits - take)
-
-    def take(self, n: int) -> bytes:
-        out = bytes(self.buffer[:n])
-        del self.buffer[:n]
-        return out
 
 
 class RspSimGroup:
@@ -340,7 +349,7 @@ class RspSimEndpoint:
 
     def set_consume_rate(self, writer: int, rate: Optional[float]) -> None:
         """Limit how fast the simulated application reads `writer`'s stream."""
-        self.group.sink(self.id, writer).rate = rate
+        self.group.sink(self.id, writer).set_rate(rate, self.group.clock)
         self.group._dirty.add((self.id, writer))
 
     def pause_consumption(self, writer: int, paused: bool = True) -> None:
@@ -360,7 +369,7 @@ class RspSimEndpoint:
             room = self.member.send_room
             if room > 0:
                 take = min(room, len(data) - offset)
-                self.member.try_enqueue(bytes(view[offset : offset + take]))
+                self.member.try_enqueue(view[offset : offset + take])
                 self.group._dirty.add(self.id)
                 offset += take
             else:
@@ -374,7 +383,7 @@ class RspSimEndpoint:
             raise RspError(f"writer {writer} is not a group member")
         sink = self.group.sink(self.id, writer)
         self.group.run_until(lambda: len(sink.buffer) >= n, max_virtual)
-        return sink.take(n)
+        return sink.buffer.take(n)
 
     def flush(self, max_virtual: float = 300.0) -> None:
         """Run the group until this member's stream is fully acknowledged."""
@@ -383,18 +392,3 @@ class RspSimEndpoint:
     def close(self) -> None:
         self._closed = True
 
-
-# spec-level operation aliases
-
-def rsp_join(
-    group: ConnectionDescription, cfg: RspConfig, transport: SimTransport, member_id: int
-) -> RspSimEndpoint:
-    return transport.join(group, cfg, member_id)
-
-
-def rsp_send(endpoint: RspSimEndpoint, data: bytes) -> None:
-    endpoint.send(data)
-
-
-def rsp_recv(endpoint: RspSimEndpoint, writer: int, n: int) -> bytes:
-    return endpoint.recv(writer, n)

@@ -14,6 +14,7 @@ import threading
 import time
 from typing import Optional
 
+from ..bytequeue import ByteQueue
 from .connection import ConnectionDescription
 from .rsp import Datagram, MemberLostError, RspConfig, RspError, RspJoinError, RspMember
 
@@ -119,7 +120,7 @@ class RspUdpEndpoint:
                 room = self.member.send_room
                 if room > 0:
                     take = min(room, len(data) - offset)
-                    self.member.try_enqueue(bytes(view[offset : offset + take]))
+                    self.member.try_enqueue(view[offset : offset + take])
                     offset += take
                     continue
                 if time.monotonic() > deadline:
@@ -128,21 +129,20 @@ class RspUdpEndpoint:
 
     def recv(self, writer: int, n: int, timeout: float = 60.0) -> bytes:
         deadline = time.monotonic() + timeout
-        out = bytearray()
+        out = ByteQueue()
         while len(out) < n:
             with self._lock:
                 if writer not in self.member.readers:
                     raise RspError(f"writer {writer} is not a group member")
-                avail = self.member.readable(writer)
-                if avail > 0:
-                    out += self.member.consume(writer, min(avail, n - len(out)))
+                if self.member.readable(writer) > 0:
+                    out.append(self.member.consume(writer, n - len(out)))
                     continue
                 if self.member.failed:
                     raise MemberLostError(self.member.failed)
                 if time.monotonic() > deadline:
                     raise TimeoutError(f"recv timed out at {len(out)} of {n} bytes")
                 self._wake.wait(0.01)
-        return bytes(out)
+        return out.take(n)
 
     def flush(self, timeout: float = 60.0) -> None:
         deadline = time.monotonic() + timeout

@@ -20,19 +20,7 @@ from .collectives import (
     ObjectMap,
     QueueConsumer,
     QueueError,
-    barrier_enter,
-    objectmap_commit,
-    objectmap_sync,
-    queue_pop,
-    queue_push,
 )
 from .manager import KIND_DELTA, KIND_INSTANCE, MulticastHub, ObjectManager
 from .serializable import BIT_ATTACHED, DIRTY_ALL, DIRTY_NONE, DirtyMaskError, Serializable
 
-
-def register_object(manager: ObjectManager, obj: DistributedObject, change_type: ChangeType):
-    return manager.register_object(obj, change_type)
-
-
-def map_object(manager: ObjectManager, obj: DistributedObject, object_id, version=VERSION_OLDEST):
-    return manager.map_object(obj, object_id, version)

@@ -49,10 +49,6 @@ class SlaveDisconnectedError(ObjectError):
     pass
 
 
-def new_object_id() -> uuid.UUID:
-    return uuid.uuid4()
-
-
 class DistributedObject:
     """Base for replicated state; subclasses implement serialization.
 

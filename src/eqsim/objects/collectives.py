@@ -175,10 +175,6 @@ class BarrierSlave:
             raise BarrierError(str(exc)) from exc
 
 
-def barrier_enter(barrier, timeout: float = 30.0) -> None:
-    barrier.enter(timeout)
-
-
 class DistributedQueue:
     """Single-producer FIFO; items are handed to exactly one consumer."""
 
@@ -280,14 +276,6 @@ class QueueConsumer:
         return item
 
 
-def queue_push(queue: DistributedQueue, item: bytes) -> None:
-    queue.push(item)
-
-
-def queue_pop(consumer: QueueConsumer, timeout: float = 30.0) -> Optional[bytes]:
-    return consumer.pop(timeout)
-
-
 class ObjectMap(Serializable):
     """Directory of distributed objects enabling one-call commit and sync.
 
@@ -374,11 +362,3 @@ class ObjectMap(Serializable):
             except (ObjectError, TimeoutError) as exc:
                 raise ObjectError(f"object {object_id} cannot reach version {recorded}: {exc}") from exc
         return reached
-
-
-def objectmap_commit(map_master: ObjectMap) -> int:
-    return map_master.commit_all()
-
-
-def objectmap_sync(map_slave: ObjectMap, target: int = VERSION_HEAD) -> int:
-    return map_slave.sync_all(target)

@@ -149,6 +149,23 @@ def test_subpixel_average_floors(size, n, data):
     check(inputs, width, height)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 14), st.integers(1, 11), st.integers(2, 3), st.sampled_from(["spatial", "db"]), st.data())
+def test_subpixel_samples_keep_other_inputs_where_unsampled(width, height, n, other, data):
+    # subpixel samples cover the left part of the frame, a spatial or DB
+    # input the rest; unsampled pixels keep the other input's ids and depth
+    frame = PixelRect(0, 0, width, height)
+    xcut = data.draw(st.integers(1, width - 1))
+    left = PixelRect(0, 0, xcut, height)
+    right = PixelRect(xcut, 0, width - xcut, height)
+    inputs = [(data.draw(images(left)), task(frame, subpixel=SubpixelParam(i, n))) for i in range(n)]
+    if other == "spatial":
+        inputs.append((data.draw(images(right)), task(right)))
+    else:
+        inputs.append((data.draw(images(right)), task(frame, range_=Range(0.0, 0.5))))
+    check(data.draw(st.permutations(inputs)), width, height)
+
+
 def test_overlapping_spatial_inputs_rejected():
     frame = PixelRect(0, 0, 4, 4)
     image = Image(frame, np.ones((4, 4), dtype=np.int32), np.ones((4, 4)))

@@ -184,6 +184,26 @@ def test_rate_limited_connection_throughput():
     listener.close()
 
 
+def test_shared_bucket_paces_concurrent_senders_at_its_rate():
+    # a sleep pre-charged by one thread must delay the next one, or threads
+    # sharing a bucket sleep side by side and together exceed its rate
+    bucket = WallClockBucket(1e6, capacity=1e4)  # 1 MB/s, 10 KB burst
+    threads = [threading.Thread(target=bucket.acquire_blocking, args=(25_000,)) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        t0 = time.monotonic()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5)
+        elapsed = time.monotonic() - t0
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert 0.085 < elapsed < 1.0  # 100 KB less the 10 KB burst at 1 MB/s: 0.09 s
+
+
 CMD_PING = 10
 CMD_LOG = 11
 

@@ -15,9 +15,6 @@ from eqsim.net import (
     RspJoinError,
     SimStallError,
     SimTransport,
-    rsp_join,
-    rsp_recv,
-    rsp_send,
 )
 
 GROUP = ConnectionDescription(RSP_MULTICAST, "239.1.1.1", 4000)
@@ -26,7 +23,7 @@ GROUP = ConnectionDescription(RSP_MULTICAST, "239.1.1.1", 4000)
 def make_group(member_ids, seed=0, cfg=None, **impairments):
     cfg = cfg or RspConfig(members=tuple(member_ids))
     transport = SimTransport(seed=seed, **impairments)
-    eps = {i: rsp_join(GROUP, cfg, transport, i) for i in member_ids}
+    eps = {i: transport.join(GROUP, cfg, i) for i in member_ids}
     group = transport.groups[(GROUP.host, GROUP.port)]
     return cfg, transport, eps, group
 
@@ -38,14 +35,14 @@ def payload(size, seed=0):
 def test_lossless_delivery_three_members():
     _, _, eps, _ = make_group([0, 1, 2])
     data = payload(100_000)
-    rsp_send(eps[0], data)
-    assert rsp_recv(eps[1], 0, len(data)) == data
-    assert rsp_recv(eps[2], 0, len(data)) == data
+    eps[0].send(data)
+    assert eps[1].recv(0, len(data)) == data
+    assert eps[2].recv(0, len(data)) == data
 
 
 def test_single_member_group_reads_nothing():
     cfg, _, eps, group = make_group([4])
-    rsp_send(eps[4], b"hello" * 1000)
+    eps[4].send(b"hello" * 1000)
     eps[4].flush()
     assert eps[4].member.readers == {}
     assert eps[4].member.write_idle
@@ -66,7 +63,7 @@ def test_mismatched_mtu_join_error():
 
 def test_send_zero_bytes_no_datagram():
     _, _, eps, group = make_group([0, 1])
-    rsp_send(eps[0], b"")
+    eps[0].send(b"")
     assert eps[0].member.stats.data_sent == 0
 
 
@@ -76,36 +73,36 @@ def test_lossy_stream_byte_identical(seed):
         [0, 1, 2], seed=seed, loss=0.02, duplicate=0.005, reorder=0.01
     )
     data = payload(2 << 20, seed)
-    rsp_send(eps[0], data)
-    assert rsp_recv(eps[1], 0, len(data)) == data
-    assert rsp_recv(eps[2], 0, len(data)) == data
+    eps[0].send(data)
+    assert eps[1].recv(0, len(data)) == data
+    assert eps[2].recv(0, len(data)) == data
     assert group.retransmit_ratio() > 0
 
 
 def test_heavy_loss_still_correct():
     _, _, eps, _ = make_group([0, 1], seed=5, loss=0.25, duplicate=0.05, reorder=0.1)
     data = payload(200_000, 5)
-    rsp_send(eps[0], data)
-    assert rsp_recv(eps[1], 0, len(data)) == data
+    eps[0].send(data)
+    assert eps[1].recv(0, len(data)) == data
 
 
 def test_bidirectional_streams():
     _, _, eps, _ = make_group([0, 1, 2], seed=9, loss=0.05)
     blobs = {i: payload(300_000, i) for i in (0, 1, 2)}
     for i, blob in blobs.items():
-        rsp_send(eps[i], blob)
+        eps[i].send(blob)
     for reader in (0, 1, 2):
         for writer in (0, 1, 2):
             if reader != writer:
-                assert rsp_recv(eps[reader], writer, len(blobs[writer])) == blobs[writer]
+                assert eps[reader].recv(writer, len(blobs[writer])) == blobs[writer]
 
 
 def test_in_flight_never_exceeds_num_buffers_with_slow_consumer():
     cfg, _, eps, group = make_group([0, 1], seed=11)
     eps[1].set_consume_rate(0, cfg.send_rate_max / 2)
     data = payload(4 << 20, 11)
-    rsp_send(eps[0], data)
-    got = rsp_recv(eps[1], 0, len(data))
+    eps[0].send(data)
+    got = eps[1].recv(0, len(data))
     assert got == data
     assert eps[0].member.max_in_flight <= cfg.num_buffers
 
@@ -116,9 +113,9 @@ def test_deterministic_replay():
             [0, 1, 2], seed=13, loss=0.05, duplicate=0.01, reorder=0.02
         )
         data = payload(500_000, 13)
-        rsp_send(eps[0], data)
-        rsp_recv(eps[1], 0, len(data))
-        rsp_recv(eps[2], 0, len(data))
+        eps[0].send(data)
+        eps[1].recv(0, len(data))
+        eps[2].recv(0, len(data))
         return group.trace
 
     first, second = run(), run()
@@ -128,9 +125,9 @@ def test_deterministic_replay():
 def test_ack_cadence_17000_datagrams():
     cfg, _, eps, group = make_group([0, 1, 2])
     data = bytes(cfg.payload_size * 1700)  # 1700 datagrams -> 100 periodic acks
-    rsp_send(eps[0], data)
+    eps[0].send(data)
     for i in (1, 2):
-        rsp_recv(eps[i], 0, len(data))
+        eps[i].recv(0, len(data))
     eps[0].flush()
     assert group.members[0].stats.data_sent == 1700
     for i in (1, 2):
@@ -140,8 +137,8 @@ def test_ack_cadence_17000_datagrams():
 def test_no_duplication_in_stream_with_injected_duplicates():
     _, _, eps, group = make_group([0, 1], seed=17, duplicate=0.3)
     data = payload(500_000, 17)
-    rsp_send(eps[0], data)
-    assert rsp_recv(eps[1], 0, len(data)) == data
+    eps[0].send(data)
+    assert eps[1].recv(0, len(data)) == data
     assert group.members[1].stats.duplicates_dropped > 0
     # nothing beyond the stream ever appears
     assert eps[1].member.readable(0) == 0
@@ -182,7 +179,7 @@ def test_paused_reader_throttles_writer_and_resumes_intact():
     sent = 0
     for _ in range(4):  # queue what fits, never blocking in send
         room = writer.send_room
-        rsp_send(eps[0], data[sent : sent + room])
+        eps[0].send(data[sent : sent + room])
         sent += room
         group.run_for(0.02)
     assert sent < len(data)
@@ -207,8 +204,8 @@ def test_paused_reader_throttles_writer_and_resumes_intact():
     group.step()
     assert reader.readable(0) == 0
     assert len(group.sink(1, 0).buffer) == cfg.num_buffers * cfg.payload_size
-    rsp_send(eps[0], data[sent:])
-    assert rsp_recv(eps[1], 0, len(data)) == data
+    eps[0].send(data[sent:])
+    assert eps[1].recv(0, len(data)) == data
 
 
 def test_consume_rate_change_mid_stream_takes_effect():
@@ -216,7 +213,7 @@ def test_consume_rate_change_mid_stream_takes_effect():
     slow, fast, span = 64 << 10, 8 << 20, 0.05
     eps[1].set_consume_rate(0, slow)
     data = payload(1 << 20, 91)
-    rsp_send(eps[0], data)
+    eps[0].send(data)
     sink = group.sink(1, 0)
 
     start = group.clock
@@ -229,12 +226,10 @@ def test_consume_rate_change_mid_stream_takes_effect():
     start = group.clock
     group.run_for(span)
     assert group.clock == start + span
-    # credits since the last slow read count at the new rate, at most the
-    # sink's 16-datagram credit cap
-    assert abs(len(sink.buffer) - before - fast * span) <= 17 * cfg.payload_size
+    assert abs(len(sink.buffer) - before - fast * span) <= 2 * cfg.payload_size
 
     eps[1].set_consume_rate(0, None)
-    assert rsp_recv(eps[1], 0, len(data)) == data
+    assert eps[1].recv(0, len(data)) == data
 
 
 def test_silent_member_fails_the_writers_send():
@@ -242,7 +237,7 @@ def test_silent_member_fails_the_writers_send():
     # acknowledges nor nacks, so each ack request counts as one stall
     cfg = RspConfig(members=(0, 1, 2), num_buffers=64, max_ack_timeouts=5)
     transport = SimTransport(seed=5)
-    eps = {i: rsp_join(GROUP, cfg, transport, i) for i in (0, 1)}
+    eps = {i: transport.join(GROUP, cfg, i) for i in (0, 1)}
     group = transport.groups[(GROUP.host, GROUP.port)]
     with pytest.raises(MemberLostError, match="member 2 unresponsive for 5 ack timeouts"):
         eps[0].send(bytes(4 * cfg.num_buffers * cfg.payload_size), max_virtual=1.0)
@@ -269,11 +264,11 @@ def test_silent_member_fails_the_writers_send():
 def _send_all(eps, writers, size, seed):
     blobs = {w: payload(size, seed + w) for w in writers}
     for w in writers:
-        rsp_send(eps[w], blobs[w])
+        eps[w].send(blobs[w])
     for reader, ep in eps.items():
         for w in writers:
             if reader != w:
-                assert rsp_recv(ep, w, size) == blobs[w]
+                assert ep.recv(w, size) == blobs[w]
 
 
 def _golden_members(n, loss=0.0):
@@ -301,10 +296,10 @@ def _golden_rate_limited():
     _, _, eps, group = make_group([0, 1], seed=51, loss=0.01)
     eps[1].set_consume_rate(0, 2 << 20)
     data = payload(300_000, 51)
-    rsp_send(eps[0], data)
+    eps[0].send(data)
     group.run_for(0.05)
     eps[1].set_consume_rate(0, 8 << 20)
-    assert rsp_recv(eps[1], 0, len(data)) == data
+    assert eps[1].recv(0, len(data)) == data
     return group
 
 
@@ -314,12 +309,12 @@ def _golden_paused():
     eps[2].pause_consumption(0)
     data = payload(200_000, 61)
     room = eps[0].member.send_room
-    rsp_send(eps[0], data[:room])
+    eps[0].send(data[:room])
     group.run_for(0.08)
     eps[2].pause_consumption(0, False)
-    rsp_send(eps[0], data[room:])
+    eps[0].send(data[room:])
     for reader in (1, 2):
-        assert rsp_recv(eps[reader], 0, len(data)) == data
+        assert eps[reader].recv(0, len(data)) == data
     return group
 
 
@@ -343,7 +338,9 @@ GOLDEN_SCENARIOS = {
     "idle_tail": _golden_idle_tail,
 }
 
-# recorded with the full-scan scheduler that preceded the timer heap
+# recorded with the full-scan scheduler that preceded the timer heap; the
+# final clock of `rate_limited` since a sink's rate change settles the
+# credits earned at the old rate
 GOLDEN = {
     "idle_tail": (
         "09bf3ebb7cd3274bc92cd65531232a6606f76d2d299434b921ff8439ad1edbf4",
@@ -379,7 +376,7 @@ GOLDEN = {
     ),
     "rate_limited": (
         "473ef2bd5769ede68bdfb107508ae13be6af83b6a2b4a16b46624bbffb4b7c6c",
-        0.07288527488708496,
+        0.07326278686523438,
     ),
     "two_writers": (
         "cadc2032c0f654ef689a44ae0797261b5354debf9e583becc7e99766e9a227be",
