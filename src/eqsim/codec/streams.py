@@ -90,7 +90,6 @@ class OutputStream:
         self._buffer = bytearray()
         self._closed = False
         self._fmt = "<" if endianness == "little" else ">"
-        self.chunks_emitted = 0
         self.bytes_written = 0
 
     def _emit(self, payload: bytes) -> None:
@@ -103,7 +102,6 @@ class OutputStream:
         except Exception:
             self._closed = True  # sink failed, stream unusable
             raise
-        self.chunks_emitted += 1
 
     def write(self, data) -> None:
         """Append any C-contiguous bytes-like object.  Whole chunks go to

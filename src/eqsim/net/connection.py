@@ -3,7 +3,9 @@
 Two unicast transports share one blocking interface: an in-process pipe
 (for tests and single-host setups) and TCP.  Both deliver an ordered,
 reliable byte stream in each direction, and closing one end is observable
-by the peer as end-of-stream after all delivered bytes.
+by the peer as end-of-stream after all delivered bytes.  A `timeout` bounds
+the whole call; a read or accept fails at once with ConnectionClosedError
+when its end closes.
 """
 
 from __future__ import annotations
@@ -69,17 +71,12 @@ class _PipeBuffer:
             self._cond.notify_all()
 
     def read_exact(self, n: int, timeout: Optional[float] = None) -> bytes:
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while len(self._queue) < n:
-                if self._closed:
-                    raise ConnectionClosedError(
-                        f"closed with {len(self._queue)} of {n} bytes available"
-                    )
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
+            if len(self._queue) < n:
+                if not self._cond.wait_for(lambda: len(self._queue) >= n or self._closed, timeout):
                     raise TimeoutError("read timed out")
-                self._cond.wait(remaining)
+                if len(self._queue) < n:
+                    raise ConnectionClosedError(f"closed with {len(self._queue)} of {n} bytes available")
             return self._queue.take(n)
 
     def close(self) -> None:
@@ -185,10 +182,14 @@ class TcpConnection(Connection):
             raise ConnectionClosedError(str(exc)) from exc
 
     def recv(self, n: int, timeout: Optional[float] = None) -> bytes:
-        self._sock.settimeout(timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
         parts = []
         got = 0
         while got < n:
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                raise TimeoutError("read timed out")
+            self._sock.settimeout(remaining)
             try:
                 chunk = self._sock.recv(n - got)
             except socket.timeout:
@@ -237,15 +238,11 @@ class PipeListener(Listener):
             self._cond.notify()
 
     def accept(self, timeout: Optional[float] = None) -> Connection:
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while not self._backlog:
-                if self._closed:
-                    raise ConnectionClosedError("listener closed")
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("accept timed out")
-                self._cond.wait(remaining)
+            if not self._cond.wait_for(lambda: self._backlog or self._closed, timeout):
+                raise TimeoutError("accept timed out")
+            if not self._backlog:
+                raise ConnectionClosedError("listener closed")
             return self._backlog.pop(0)
 
     def close(self) -> None:

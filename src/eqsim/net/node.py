@@ -11,7 +11,8 @@ payload.  The 10-byte header and the payload travel as two writes under
 the peer's send lock, so the payload is never copied to prepend the
 header and frames from concurrent senders never interleave.  Request id
 0 means fire-and-forget; nonzero ids correlate a blocking `request` with
-its REPLY.  A request still pending when its peer's connection ends, or
+its REPLY; its `timeout` bounds the whole call, as HANDSHAKE_TIMEOUT bounds
+connecting.  A request still pending when its peer's connection ends, or
 when the local node closes, fails at once with ConnectionClosedError.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import struct
 import threading
+import time
 import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -35,6 +37,8 @@ from .connection import (
 )
 
 _FRAME = struct.Struct("<IHI")  # length (type+reqid+payload), type, request id
+
+HANDSHAKE_TIMEOUT = 10.0  # seconds to connect or accept a peer, node-id exchange included
 
 CMD_REPLY = 0xFFFF
 CMD_REPLY_ERROR = 0xFFFE
@@ -129,9 +133,14 @@ class LocalNode:
         return listener
 
     def connect_to(self, desc: ConnectionDescription) -> RemoteNode:
-        conn = connect(desc)
-        conn.send(self.node_id.bytes)
-        peer_id = uuid.UUID(bytes=conn.recv(16))
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT
+        conn = connect(desc, HANDSHAKE_TIMEOUT)
+        try:
+            conn.send(self.node_id.bytes)
+            peer_id = uuid.UUID(bytes=conn.recv(16, timeout=deadline - time.monotonic()))
+        except (TransportError, TimeoutError):
+            conn.close()
+            raise
         return self._add_peer(peer_id, conn)
 
     def _accept_loop(self, listener: Listener) -> None:
@@ -141,7 +150,7 @@ class LocalNode:
             except (ConnectionClosedError, TransportError, OSError):
                 return
             try:
-                peer_id = uuid.UUID(bytes=conn.recv(16, timeout=10.0))
+                peer_id = uuid.UUID(bytes=conn.recv(16, timeout=HANDSHAKE_TIMEOUT))
                 conn.send(self.node_id.bytes)
             except (TransportError, TimeoutError, OSError):
                 conn.close()
@@ -165,10 +174,6 @@ class LocalNode:
     def peers(self) -> list[RemoteNode]:
         with self._lock:
             return list(self._peers.values())
-
-    def peer(self, node_id: uuid.UUID) -> Optional[RemoteNode]:
-        with self._lock:
-            return self._peers.get(node_id)
 
     # --- dispatch -------------------------------------------------------
 

@@ -45,7 +45,9 @@ from typing import Callable, Optional
 
 from ..bytequeue import ByteQueue
 from .connection import ConnectionDescription
-from .rsp import Datagram, DatagramType, MemberLostError, RspConfig, RspError, RspJoinError, RspMember
+from .rsp import (
+    Datagram, DatagramType, EndpointClosedError, MemberLostError, RspConfig, RspError, RspJoinError, RspMember
+)
 
 _INF = float("inf")
 
@@ -360,7 +362,7 @@ class RspSimEndpoint:
         """Queue `data` into the send window, advancing the simulation while
         buffers are full; returns once everything is queued (not acked)."""
         if self._closed:
-            raise RspError("endpoint closed")
+            raise EndpointClosedError("endpoint closed")
         view = memoryview(data)
         offset = 0
         deadline = self.group.clock + max_virtual
@@ -378,7 +380,7 @@ class RspSimEndpoint:
     def recv(self, writer: int, n: int, max_virtual: float = 300.0) -> bytes:
         """Blocking in-order read of the next n bytes of `writer`'s stream."""
         if self._closed:
-            raise RspError("endpoint closed")
+            raise EndpointClosedError("endpoint closed")
         if writer not in self.member.readers:
             raise RspError(f"writer {writer} is not a group member")
         sink = self.group.sink(self.id, writer)
@@ -387,6 +389,8 @@ class RspSimEndpoint:
 
     def flush(self, max_virtual: float = 300.0) -> None:
         """Run the group until this member's stream is fully acknowledged."""
+        if self._closed:
+            raise EndpointClosedError("endpoint closed")
         self.group.run_until(lambda: self.member.write_idle, max_virtual)
 
     def close(self) -> None:

@@ -3,7 +3,9 @@
 One protocol thread per group owns the socket and the member state
 machine; application threads only touch the thread-safe send/recv calls,
 which hand bytes over through conditions.  Exactly the same protocol code
-as the simulated transport, driven by the wall clock.
+as the simulated transport, driven by the wall clock.  A `timeout` bounds
+the whole call; a call fails at once with EndpointClosedError when the
+endpoint closes, or with MemberLostError when a member is lost.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 
 from ..bytequeue import ByteQueue
 from .connection import ConnectionDescription
-from .rsp import Datagram, MemberLostError, RspConfig, RspError, RspJoinError, RspMember
+from .rsp import Datagram, EndpointClosedError, MemberLostError, RspConfig, RspError, RspJoinError, RspMember
 
 
 class UdpMulticastTransport:
@@ -55,9 +57,7 @@ class UdpMulticastTransport:
     def recv(self) -> Optional[bytes]:
         try:
             raw, _ = self._sock.recvfrom(self.mtu)
-        except socket.timeout:
-            return None
-        except OSError:
+        except OSError:  # the 1 ms tick's timeout included
             return None
         return raw
 
@@ -85,13 +85,10 @@ class RspUdpEndpoint:
     def id(self) -> int:
         return self.member.id
 
-    def _now(self) -> float:
-        return time.monotonic() - self._start
-
     def _protocol_loop(self) -> None:
         while not self._closed:
             raw = self._transport.recv()  # 1 ms tick via socket timeout
-            now = self._now()
+            now = time.monotonic() - self._start
             with self._lock:
                 out = []
                 if raw is not None:
@@ -107,54 +104,43 @@ class RspUdpEndpoint:
             for dgram in out:
                 self._transport.send(dgram.encode())
 
+    def _wait(self, ready, deadline: float, what: str) -> None:
+        """With the lock held, wait until `ready()`.  A closed endpoint or,
+        unless `ready()`, a failed member raises at once."""
+        self._wake.wait_for(lambda: self._closed or ready() or self.member.failed, deadline - time.monotonic())
+        if self._closed:
+            raise EndpointClosedError("endpoint closed")
+        if not ready():
+            raise MemberLostError(self.member.failed) if self.member.failed else TimeoutError(what)
+
     def send(self, data: bytes, timeout: float = 60.0) -> None:
         deadline = time.monotonic() + timeout
         view = memoryview(data)
         offset = 0
-        while offset < len(data):
-            with self._lock:
-                if self._closed:
-                    raise RspError("endpoint closed")
-                if self.member.failed:
-                    raise MemberLostError(self.member.failed)
-                room = self.member.send_room
-                if room > 0:
-                    take = min(room, len(data) - offset)
-                    self.member.try_enqueue(view[offset : offset + take])
-                    offset += take
-                    continue
-                if time.monotonic() > deadline:
-                    raise TimeoutError("send timed out waiting for window space")
-                self._wake.wait(0.01)
+        with self._lock:
+            while offset < len(data):
+                self._wait(lambda: self.member.send_room > 0, deadline, "send timed out on a full window")
+                offset += self.member.try_enqueue(view[offset:])
 
     def recv(self, writer: int, n: int, timeout: float = 60.0) -> bytes:
         deadline = time.monotonic() + timeout
         out = ByteQueue()
-        while len(out) < n:
-            with self._lock:
-                if writer not in self.member.readers:
-                    raise RspError(f"writer {writer} is not a group member")
-                if self.member.readable(writer) > 0:
-                    out.append(self.member.consume(writer, n - len(out)))
-                    continue
-                if self.member.failed:
-                    raise MemberLostError(self.member.failed)
-                if time.monotonic() > deadline:
-                    raise TimeoutError(f"recv timed out at {len(out)} of {n} bytes")
-                self._wake.wait(0.01)
+        with self._lock:
+            if writer not in self.member.readers:
+                raise RspError(f"writer {writer} is not a group member")
+            while len(out) < n:
+                what = f"recv timed out at {len(out)} of {n} bytes"
+                self._wait(lambda: self.member.readable(writer) > 0, deadline, what)
+                out.append(self.member.consume(writer, n - len(out)))
         return out.take(n)
 
     def flush(self, timeout: float = 60.0) -> None:
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                if self.member.write_idle:
-                    return
-                if time.monotonic() > deadline:
-                    raise TimeoutError("flush timed out")
-                self._wake.wait(0.01)
+        with self._lock:
+            self._wait(lambda: self.member.write_idle, time.monotonic() + timeout, "flush timed out")
 
     def close(self) -> None:
-        self._closed = True
+        with self._lock:
+            self._closed = True
+            self._wake.notify_all()
         self._thread.join(timeout=2.0)
         self._transport.close()

@@ -24,10 +24,6 @@ class InstanceCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def size_bytes(self) -> int:
-        return self._size
-
     def get(self, object_id: uuid.UUID, version: int) -> bytes | None:
         with self._lock:
             data = self._entries.get((object_id, version))
@@ -55,8 +51,3 @@ class InstanceCache:
             while self._size > self.capacity:
                 _, evicted = self._entries.popitem(last=False)
                 self._size -= len(evicted)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._size = 0

@@ -2,13 +2,17 @@
 
 All three follow the master/slave pattern of the object layer: one node
 owns the authoritative state, remote participants reach it through
-commands addressed by the collective's id.
+commands addressed by the collective's id.  A `timeout` bounds the whole
+call; a barrier entry fails at once with BarrierError when a participant
+leaves, a pop with QueueError when its queue's master is lost, and a
+queue hands the items a lost consumer did not get to the others.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
+import time
 import uuid
 from collections import deque
 from typing import Optional
@@ -83,6 +87,11 @@ def _on_collective_peer_lost(manager: ObjectManager, peer: RemoteNode) -> None:
     for master in list(manager.collectives.values()):
         if isinstance(master, BarrierMaster):
             master._peer_lost(peer.node_id)
+        elif isinstance(master, DistributedQueue):
+            master._dispatch({peer})
+    for consumer in list(manager.queue_consumers.values()):
+        with consumer._cond:
+            consumer._cond.notify_all()  # a pop from a lost master fails at once
 
 
 class BarrierMaster:
@@ -122,23 +131,20 @@ class BarrierMaster:
 
     def enter(self, timeout: float = 30.0) -> None:
         """Participate from the master node itself."""
-        event = threading.Event()
-        holder = {"error": None}
-
-        def ok(_payload: bytes = b"") -> None:
-            event.set()
+        done = threading.Event()
+        errors = []
 
         def err(message: str) -> None:
-            holder["error"] = message
-            event.set()
+            errors.append(message)
+            done.set()
 
         round_no = self._local_round
         self._local_round += 1
-        self._enter(round_no, ok, err, peer="local")
-        if not event.wait(timeout):
+        self._enter(round_no, lambda _payload: done.set(), err, peer="local")
+        if not done.wait(timeout):
             raise BarrierError(f"barrier round {round_no} timed out")
-        if holder["error"]:
-            raise BarrierError(holder["error"])
+        if errors:
+            raise BarrierError(errors[0])
 
     def _peer_lost(self, peer_id) -> None:
         with self._lock:
@@ -186,7 +192,6 @@ class DistributedQueue:
         self._pending: deque = deque()  # (peer, credits) served as items arrive
         self._closed = False
         self._lock = threading.Lock()
-        self.pushed = 0
         manager.collectives[self.queue_id] = self
 
     def push(self, item: bytes) -> None:
@@ -194,15 +199,12 @@ class DistributedQueue:
             if self._closed:
                 raise QueueError("queue closed")
             self._items.append(bytes(item))
-            self.pushed += 1
-            sends = self._collect_sends()
-        self._dispatch(sends)
+        self._dispatch()
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
-            sends = self._collect_sends()
-        self._dispatch(sends)
+        self._dispatch()
 
     def _collect_sends(self) -> list:
         sends = []
@@ -212,22 +214,36 @@ class DistributedQueue:
                 sends.append((peer, 0, self._items.popleft()))
                 credits -= 1
             if credits:
-                if self._closed:
-                    sends.append((peer, _ITEM_END, b""))
-                else:
+                if not self._closed:
                     self._pending.appendleft((peer, credits))
-                break
+                    break
+                sends.append((peer, _ITEM_END, b""))
         return sends
 
     def _serve(self, peer: RemoteNode, credits: int) -> None:
         with self._lock:
             self._pending.append((peer, credits))
-            sends = self._collect_sends()
-        self._dispatch(sends)
+        self._dispatch()
 
-    def _dispatch(self, sends: list) -> None:
+    def _dispatch(self, lost=frozenset(), unsent=()) -> None:
+        """Send what the pending credits take, outside the lock.  The credits
+        of consumers in `lost` are dropped, and the items that could not
+        reach them go back to the head of the queue."""
+        with self._lock:
+            if lost:
+                self._items.extendleft(reversed(unsent))
+                self._pending = deque(p for p in self._pending if p[0] not in lost)
+            sends = self._collect_sends()
+        lost, unsent = set(), []
         for peer, flags, item in sends:
-            peer.send_command(CMD_QUEUE_ITEM, self.queue_id.bytes + bytes([flags]) + item)
+            try:
+                peer.send_command(CMD_QUEUE_ITEM, self.queue_id.bytes + bytes([flags]) + item)
+            except TransportError:
+                lost.add(peer)
+                if not flags & _ITEM_END:
+                    unsent.append(item)
+        if lost:
+            self._dispatch(lost, unsent)
 
 
 class QueueConsumer:
@@ -264,15 +280,20 @@ class QueueConsumer:
 
     def pop(self, timeout: float = 30.0) -> Optional[bytes]:
         with self._cond:
-            if not self._cond.wait_for(lambda: self._local or self._ended, timeout):
+            if not self._cond.wait_for(lambda: self._local or self._ended or not self.master.alive, timeout):
                 raise QueueError("queue pop timed out")
             if self._local:
                 item = self._local.popleft()
-                ended = self._ended
-            else:
+                ended = self._ended or not self.master.alive
+            elif self._ended:
                 return None
+            else:
+                raise QueueError(f"queue master {self.master.node_id} disconnected")
         if not ended:
-            self._request(1)
+            try:
+                self._request(1)
+            except TransportError:
+                pass  # the master is gone; the next pop reports it
         return item
 
 
@@ -352,13 +373,14 @@ class ObjectMap(Serializable):
     def sync_all(self, target: int = VERSION_HEAD, timeout: float = 30.0) -> int:
         if self._manager is None or self.is_master:
             raise ObjectError("sync_all runs on mapped slave maps")
+        deadline = time.monotonic() + timeout
         reached = self._manager.sync(self, target, timeout)
         for object_id, instance in self._mapped.items():
             if object_id not in self.entries:
                 continue
             recorded, _ = self.entries[object_id]
             try:
-                self._manager.sync(instance, recorded, timeout)
+                self._manager.sync(instance, recorded, deadline - time.monotonic())
             except (ObjectError, TimeoutError) as exc:
                 raise ObjectError(f"object {object_id} cannot reach version {recorded}: {exc}") from exc
         return reached

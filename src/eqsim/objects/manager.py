@@ -7,7 +7,9 @@ confirms a cached copy).  Commits are master-triggered pushes: delta or
 instance payloads are queued on the slaves and applied when the
 application syncs.  With a multicast hub joined and at least two slaves
 mapped, one broadcast replaces the per-slave unicasts, and idle nodes
-cache snooped instance payloads.
+cache snooped instance payloads.  A `timeout` bounds the whole call; a
+sync or blocking commit fails at once with SlaveDisconnectedError when
+the node it waits on is lost.
 
 Instance and delta payloads are chunked byte streams (optionally
 compressed per chunk) produced by the codec layer's output streams.  A
@@ -23,6 +25,7 @@ from __future__ import annotations
 import bisect
 import struct
 import threading
+import time
 import uuid
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -34,7 +37,6 @@ from ..codec.streams import DEFAULT_CHUNK_SIZE, InputStream, OutputStream, iter_
 from ..net.connection import TransportError
 from ..net.node import Command, LocalNode, RemoteError, RemoteNode
 from .base import (
-    VERSION_FIRST,
     VERSION_HEAD,
     VERSION_NONE,
     VERSION_OLDEST,
@@ -92,14 +94,13 @@ class ObjectManager:
         engine: Optional[CompressionEngine] = None,
         preload: bool = False,
         history_depth: int = 60,
-        cache_capacity: int = 64 << 20,
     ):
         self.node = node
         self.chunk_size = chunk_size
         self.engine = engine
         self.preload = preload
         self.history_depth = history_depth
-        self.cache = InstanceCache(cache_capacity)
+        self.cache = InstanceCache()
         self.hub: Optional["MulticastHub"] = None
 
         self._masters: dict[uuid.UUID, _MasterEntry] = {}
@@ -166,12 +167,6 @@ class ObjectManager:
             self._preload(object_id, obj)
         return object_id
 
-    def deregister_object(self, obj: DistributedObject) -> None:
-        with self._lock:
-            self._masters.pop(obj.object_id, None)
-            obj.object_id = None
-            obj._manager = None
-
     def _preload(self, object_id: uuid.UUID, obj: DistributedObject) -> None:
         blob = self._serialize(obj.serialize_instance, self.engine)
         payload = _PUSH_HEAD.pack(object_id.bytes, obj.version, KIND_INSTANCE, 0) + blob
@@ -200,6 +195,7 @@ class ObjectManager:
                 raise ObjectError("object is mastered on this node; mapping it is redundant")
             if obj.object_id is not None:
                 raise ObjectError("instance already attached")
+        deadline = time.monotonic() + timeout
         master = self.locate_master(object_id, timeout)
 
         # register the slave entry before asking, so a commit push racing the
@@ -212,7 +208,7 @@ class ObjectManager:
         req = _MAP_REQ.pack(object_id.bytes, version, len(cached_versions))
         req += b"".join(struct.pack("<Q", v) for v in cached_versions)
         try:
-            reply = master.request(CMD_OBJ_MAP, req, timeout=timeout)
+            reply = master.request(CMD_OBJ_MAP, req, timeout=deadline - time.monotonic())
         except (RemoteError, TimeoutError, TransportError) as exc:
             with self._lock:
                 self._slaves.pop(object_id, None)
@@ -377,12 +373,13 @@ class ObjectManager:
     # --- command handlers -------------------------------------------------------
 
     def locate_master(self, object_id: uuid.UUID, timeout: float = 30.0) -> RemoteNode:
-        """Find the peer mastering `object_id` among connected nodes."""
+        """Find the peer mastering `object_id`, asking connected peers in turn within `timeout`."""
+        deadline = time.monotonic() + timeout
         for peer in self.node.peers:
             try:
-                if peer.request(CMD_OBJ_LOCATE, object_id.bytes, timeout=timeout) == b"\x01":
+                if peer.request(CMD_OBJ_LOCATE, object_id.bytes, deadline - time.monotonic()) == b"\x01":
                     return peer
-            except (RemoteError, TimeoutError, TransportError):
+            except (RemoteError, TransportError):
                 continue
         raise UnknownObjectError(f"no reachable master for {object_id}")
 

@@ -174,6 +174,54 @@ def test_queue_pop_after_end_returns_none_repeatedly():
         assert consumer.pop(timeout=5) is None
 
 
+def _wait_until(predicate, timeout=5):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert predicate()
+
+
+def test_queue_close_ends_every_waiting_consumer():
+    with Cluster(3) as c:
+        q = DistributedQueue(c.managers[0])
+        consumers = [QueueConsumer(c.managers[i], q.queue_id) for i in (1, 2)]
+        _wait_until(lambda: len(q._pending) == 2)  # both wait with credits
+        q.close()
+        for consumer in consumers:
+            assert consumer.pop(timeout=1) is None
+
+
+def test_queue_pop_fails_at_once_when_master_node_closes():
+    with Cluster(2) as c:
+        q = DistributedQueue(c.managers[0])
+        consumer = QueueConsumer(c.managers[1], q.queue_id)
+        closer = threading.Timer(0.3, c.nodes[0].close)
+        closer.start()
+        t0 = time.monotonic()
+        with pytest.raises(QueueError, match="disconnected"):
+            consumer.pop(timeout=1.5)
+        assert time.monotonic() - t0 < 0.3 + 0.25
+        closer.join(timeout=2)
+        assert not closer.is_alive()
+
+
+def test_queue_survives_a_lost_consumer():
+    with Cluster(3) as c:
+        q = DistributedQueue(c.managers[0])
+        keeper = QueueConsumer(c.managers[1], q.queue_id, prefetch=4)
+        QueueConsumer(c.managers[2], q.queue_id, prefetch=4)
+        _wait_until(lambda: len(q._pending) == 2)  # both consumers hold credits
+        c.nodes[2].close()
+        items = [bytes([i]) for i in range(8)]
+        for item in items:
+            q.push(item)
+        q.close()
+        got = []
+        while (item := keeper.pop(timeout=2)) is not None:
+            got.append(item)
+        assert got == items
+
+
 def test_objectmap_commit_only_dirty_objects():
     with Cluster(2) as c:
         m0, m1 = c.managers
@@ -219,6 +267,42 @@ def test_objectmap_slave_selective_mapping():
         assert reached == target
         assert picked[0].count == 100
         assert picked[1].count == 102
+
+
+def test_objectmap_sync_all_timeout_bounds_every_entry(monkeypatch):
+    with Cluster(2) as c:
+        m0, m1 = c.managers
+        omap = ObjectMap()
+        m0.register_object(omap, ChangeType.DELTA)
+        docs = [Doc(), Doc()]
+        ids = [omap.register(d, ChangeType.DELTA) for d in docs]
+        omap.commit_all()
+        slave_map = ObjectMap()
+        m1.map_object(slave_map, omap.object_id, VERSION_HEAD)
+        for oid in ids:
+            slave_map.map_entry(oid, Doc())
+        # the first entry's push arrives late, the second's never
+        handle_push = m1._handle_push
+        late = []
+
+        def hold_entries(payload, via_multicast):
+            if bytes(payload[:16]) == ids[0].bytes:
+                late.append(threading.Timer(0.4, handle_push, (payload, via_multicast)))
+                late[-1].start()
+            elif bytes(payload[:16]) != ids[1].bytes:
+                handle_push(payload, via_multicast)
+
+        monkeypatch.setattr(m1, "_handle_push", hold_entries)
+        for d in docs:
+            d.count += 1
+            d.set_dirty(Doc.DIRTY_COUNT)
+        target = omap.commit_all()
+        t0 = time.monotonic()
+        with pytest.raises(ObjectError, match="cannot reach version"):
+            slave_map.sync_all(target, timeout=0.5)
+        assert time.monotonic() - t0 < 0.5 + 0.25
+        for timer in late:
+            timer.join(timeout=2)
 
 
 def test_objectmap_empty_commit_is_cheap():

@@ -1,3 +1,4 @@
+import socket
 import struct
 import sys
 import threading
@@ -22,6 +23,7 @@ from eqsim.net import (
     connect,
     listen,
 )
+from eqsim.net import node as node_module
 
 _ports = iter(range(4100, 4900))
 
@@ -166,6 +168,51 @@ def test_tcp_many_messages_order_preserved():
     client.close()
     server.close()
     listener.close()
+
+
+def test_tcp_recv_timeout_bounds_the_whole_read():
+    # one byte every 0.3 s: each partial read is quick, the whole read is not
+    listener = listen(ConnectionDescription(TCP, "127.0.0.1", 0))
+    client = connect(ConnectionDescription(TCP, "127.0.0.1", listener.port))
+    server = listener.accept(timeout=2)
+    stop = threading.Event()
+
+    def trickle():
+        while not stop.is_set():
+            client.send(b"x")
+            stop.wait(0.3)
+
+    t = threading.Thread(target=trickle)
+    t.start()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError):
+            server.recv(4, timeout=0.5)
+        assert time.monotonic() - t0 < 0.5 + 0.25
+    finally:
+        stop.set()
+        t.join(timeout=2)
+        client.close()
+        server.close()
+        listener.close()
+    assert not t.is_alive()
+
+
+def test_connect_to_silent_peer_fails_within_the_handshake_timeout(monkeypatch):
+    monkeypatch.setattr(node_module, "HANDSHAKE_TIMEOUT", 0.3)
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)  # the kernel completes the connect; nobody ever answers
+    node = LocalNode()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError):
+            node.connect_to(ConnectionDescription(TCP, "127.0.0.1", server.getsockname()[1]))
+        assert time.monotonic() - t0 < 0.3 + 0.25
+        assert node.peers == []
+    finally:
+        node.close()
+        server.close()
 
 
 def test_rate_limited_connection_throughput():

@@ -1,10 +1,12 @@
 import contextlib
 import threading
 import time
+import uuid
 
 import numpy as np
 import pytest
 
+from eqsim.net import LOCAL_PIPE, ConnectionDescription, LocalNode
 from eqsim.objects import (
     VERSION_HEAD,
     VERSION_NONE,
@@ -14,9 +16,10 @@ from eqsim.objects import (
     MulticastHub,
     NotMasterError,
     ObjectError,
+    ObjectManager,
     VersionError,
 )
-from eqsim.objects.manager import CMD_OBJ_PUSH
+from eqsim.objects.manager import CMD_OBJ_LOCATE, CMD_OBJ_PUSH
 
 from _cluster import Cluster, Doc
 
@@ -311,6 +314,26 @@ def test_sync_timeout_lasts_as_asked_under_unrelated_pushes(pair):
         with pytest.raises(TimeoutError):
             m1.sync(slave, 1, timeout=0.5)
         assert time.monotonic() - t0 >= 0.45
+
+
+def test_map_timeout_bounds_every_locate_and_the_map():
+    # two peers that never answer a locate: the map still ends at its timeout
+    slave = LocalNode("slave")
+    silent = [LocalNode(f"silent{i}") for i in range(2)]
+    try:
+        for i, node in enumerate(silent):
+            node.register_handler(CMD_OBJ_LOCATE, lambda cmd: None)
+            desc = ConnectionDescription(LOCAL_PIPE, "silent-locate", i)
+            node.listen(desc)
+            slave.connect_to(desc)
+        manager = ObjectManager(slave)
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError):
+            manager.map_object(Doc(), uuid.uuid4(), timeout=0.3)
+        assert time.monotonic() - t0 < 0.3 + 0.25
+    finally:
+        for node in [slave, *silent]:
+            node.close()
 
 
 def test_blocking_commit_timeout_lasts_as_asked_under_unrelated_pushes(pair):

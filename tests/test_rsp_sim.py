@@ -10,6 +10,7 @@ from eqsim.net import (
     RSP_MULTICAST,
     ConnectionDescription,
     DatagramType,
+    EndpointClosedError,
     MemberLostError,
     RspConfig,
     RspJoinError,
@@ -253,6 +254,17 @@ def test_silent_member_fails_the_writers_send():
     assert group.clock == clock
 
 
+def test_closed_endpoint_raises_endpoint_closed_error():
+    _, _, eps, _ = make_group([0, 1])
+    eps[0].close()
+    with pytest.raises(EndpointClosedError):
+        eps[0].send(b"late")
+    with pytest.raises(EndpointClosedError):
+        eps[0].recv(1, 1)
+    with pytest.raises(EndpointClosedError):
+        eps[0].flush()
+
+
 # --- golden traces -------------------------------------------------------------
 #
 # Each scenario drives a group through one schedule; its SHA-256 over the
@@ -303,6 +315,19 @@ def _golden_rate_limited():
     return group
 
 
+def _golden_backlogged():
+    # a 1 MiB/s reader fills the 64-datagram window, so the sink's pacing
+    # decides when the writer may send: the digest depends on the rate
+    cfg = RspConfig(members=(0, 1), num_buffers=64)
+    _, _, eps, group = make_group([0, 1], seed=81, cfg=cfg, loss=0.01)
+    eps[1].set_consume_rate(0, 1 << 20)
+    data = payload(300_000, 81)
+    eps[0].send(data)
+    assert eps[1].recv(0, len(data)) == data
+    assert group.members[0].max_in_flight == cfg.num_buffers
+    return group
+
+
 def _golden_paused():
     cfg = RspConfig(members=(0, 1, 2), num_buffers=64)
     _, _, eps, group = make_group(range(3), seed=61, cfg=cfg, loss=0.02)
@@ -334,14 +359,19 @@ GOLDEN_SCENARIOS = {
     "impaired": _golden_impaired,
     "two_writers": _golden_two_writers,
     "rate_limited": _golden_rate_limited,
+    "backlogged": _golden_backlogged,
     "paused": _golden_paused,
     "idle_tail": _golden_idle_tail,
 }
 
 # recorded with the full-scan scheduler that preceded the timer heap; the
 # final clock of `rate_limited` since a sink's rate change settles the
-# credits earned at the old rate
+# credits earned at the old rate; `backlogged` was recorded with the timer heap
 GOLDEN = {
+    "backlogged": (
+        "801236a401ce090655a181dc143491d526b2f868fa54718778ed0a9e2765b584",
+        0.286102294921875,
+    ),
     "idle_tail": (
         "09bf3ebb7cd3274bc92cd65531232a6606f76d2d299434b921ff8439ad1edbf4",
         0.3002548914462984,

@@ -2,11 +2,13 @@
 
 import itertools
 import socket
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from eqsim.net import RSP_MULTICAST, ConnectionDescription, RspConfig, RspJoinError
+from eqsim.net import RSP_MULTICAST, ConnectionDescription, EndpointClosedError, RspConfig, RspJoinError
 from eqsim.net.udp import RspUdpEndpoint
 
 DESC = ConnectionDescription(RSP_MULTICAST, "239.255.43.17", 17781)
@@ -61,3 +63,18 @@ def test_send_errors_drop_datagrams(pair, monkeypatch):
     assert b.recv(0, len(blob), timeout=10) == blob
     b.send(blob, timeout=10)
     assert a.recv(1, len(blob), timeout=10) == blob
+
+
+def test_blocked_calls_fail_at_once_when_the_endpoint_closes(pair):
+    a, b = pair
+    closer = threading.Timer(0.3, b.close)
+    closer.start()
+    t0 = time.monotonic()
+    with pytest.raises(EndpointClosedError):
+        b.recv(0, 100, timeout=1.5)  # nothing was sent
+    assert time.monotonic() - t0 < 0.3 + 0.25
+    closer.join(timeout=2)
+    assert not closer.is_alive()
+    for call in (lambda: b.send(b"late"), b.flush):
+        with pytest.raises(EndpointClosedError):
+            call()
