@@ -74,10 +74,6 @@ class Range:
         span = self.hi - self.lo
         return Range(self.lo + child.lo * span, self.lo + child.hi * span)
 
-    def overlaps(self, lo: float, hi: float) -> float:
-        """Length of overlap with [lo, hi]."""
-        return max(0.0, min(self.hi, hi) - max(self.lo, lo))
-
     @property
     def length(self) -> float:
         return self.hi - self.lo
@@ -106,10 +102,6 @@ class PixelParam:
             self.x_count * child.x_count,
             self.y_count * child.y_count,
         )
-
-    @property
-    def fraction(self) -> float:
-        return 1.0 / (self.x_count * self.y_count)
 
     @property
     def identity(self) -> bool:

@@ -1,10 +1,9 @@
 """Block-structured config parser and pretty printer.
 
 The format is whitespace-separated tokens: `name { ... }` blocks,
-`key value` attributes, `[ v v v ]` arrays and quoted strings.  Unknown
-keys produce warnings, never failures, so configs written for richer
-implementations still load.  parse -> pretty-print -> parse is a fixpoint
-on the typed model.
+`key value` attributes, `[ v v v ]` arrays and quoted strings.  A quoted
+string ends on the line it starts on, and `#` starts a comment that runs
+to the end of its line.
 
 Grammar (EBNF):
 
@@ -13,13 +12,35 @@ Grammar (EBNF):
     block   = "{" , { item } , "}" ;
     array   = "[" , { scalar } , "]" ;
     scalar  = STRING | NUMBER | IDENT ;
+    STRING  = '"' , { any character but '"' or a line break } , '"' ;
+
+Errors: an unknown key is a warning in `Config.warnings`, never a failure,
+so configs written for richer implementations still load.  A known key
+whose value has the wrong shape (a word where an integer belongs, an array
+of the wrong length, a viewport outside the unit square) raises
+ConfigParseError at that key's line and column.
+
+Each block is declared once, as a table of key -> (attribute, reader,
+writer).  `parse_config` reads through the tables and `pretty_print`
+writes through them, leaving out values equal to their defaults, so a new
+key is one table row.  parse -> pretty-print -> parse is a fixpoint on the
+typed model:
+
+>>> cfg = parse_config('compound { channel "c" viewport [ 0 0 0.5 1 ] }')
+>>> print(pretty_print(cfg), end="")
+compound {
+    channel "c"
+    viewport [ 0.0 0.0 0.5 1.0 ]
+}
+>>> parse_config(pretty_print(cfg)) == cfg
+True
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass
+from typing import Callable, NamedTuple, Optional, Union
 
 from .model import (
     Canvas,
@@ -50,7 +71,7 @@ class ConfigParseError(ConfigError):
         self.col = col
 
 
-_TOKEN = re.compile(r'"[^"]*"|[{}\[\]]|[^\s{}\[\]"]+|#[^\n]*')
+_TOKEN = re.compile(r'"[^"]*"?|[{}\[\]]|[^\s{}\[\]"]+|#[^\n]*')
 
 
 @dataclass
@@ -67,6 +88,8 @@ def _tokenize(text: str) -> list[_Token]:
             tok = match.group(0)
             if tok.startswith("#"):
                 break  # comment to end of line
+            if tok[0] == '"' and (len(tok) == 1 or tok[-1] != '"'):
+                raise ConfigParseError("unterminated string", lineno, match.start() + 1)
             tokens.append(_Token(tok, lineno, match.start() + 1))
     return tokens
 
@@ -85,12 +108,6 @@ class _Item:
 @dataclass
 class _Block:
     items: list[_Item] = field(default_factory=list)
-
-    def get(self, key: str) -> Optional[_Item]:
-        for item in self.items:
-            if item.key == key:
-                return item
-        return None
 
 
 _INT = re.compile(r"^[+-]?\d+$")
@@ -170,7 +187,179 @@ class _Parser:
         return _Item(key.text, _scalar(self.next().text), key.line, key.col)
 
 
-# --- schema mapping ---------------------------------------------------------
+# --- the block tables -----------------------------------------------------------
+#
+# A reader takes an item and the warning list and returns the attribute's
+# value, or raises ConfigParseError at the item; a writer takes a key and a
+# value and returns the lines that print them.
+
+_Reader = Callable[[_Item, list[str]], object]
+_Writer = Callable[[str, object], list[str]]
+
+
+def _fmt(value) -> str:
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        return "[ " + " ".join(map(_fmt, value)) + " ]"
+    if is_dataclass(value):
+        return _fmt(astuple(value))
+    return str(value)
+
+
+def _line(key: str, value) -> list[str]:
+    return [f"{key} {_fmt(value)}"]
+
+
+def _wrap(key: str, lines: list[str]) -> list[str]:
+    if not lines:
+        return [key + " {}"]
+    return [key + " {", *("    " + line for line in lines), "}"]
+
+
+class _Row(NamedTuple):
+    attr: Optional[str]  # None: the key is read for its warning only
+    read: _Reader
+    write: _Writer = _line
+    many: bool = False  # the attribute is a list with one entry per item
+
+
+class _Schema(NamedTuple):
+    cls: type
+    label: str  # names the block in "unknown <label> key" warnings
+    rows: dict[str, _Row]
+
+
+def _block(item: _Item) -> list[_Item]:
+    if not isinstance(item.value, _Block):
+        raise ConfigParseError(f"{item.key!r} must be a block", item.line, item.col)
+    return item.value.items
+
+
+def _text(item: _Item, warnings: list[str]) -> str:
+    if isinstance(item.value, (list, _Block)):
+        raise ConfigParseError(f"{item.key!r} expects a text value", item.line, item.col)
+    return str(item.value)
+
+
+def _integer(item: _Item, warnings: list[str]) -> int:
+    if type(item.value) is not int:
+        raise ConfigParseError(f"{item.key!r} expects an integer", item.line, item.col)
+    return item.value
+
+
+def _array(item: _Item, n: int, kind, what: str) -> list:
+    value = item.value
+    if not isinstance(value, list) or len(value) != n or not all(isinstance(v, kind) for v in value):
+        raise ConfigParseError(f"{item.key!r} expects an array of {n} {what}", item.line, item.col)
+    return value
+
+
+def _numbers(n: int) -> _Reader:
+    return lambda item, warnings: tuple([float(v) for v in _array(item, n, (int, float), "numbers")])
+
+
+def _integers(n: int) -> _Reader:
+    return lambda item, warnings: tuple(_array(item, n, int, "integers"))
+
+
+def _build(item: _Item, cls, *args, **kwargs):
+    try:
+        return cls(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigParseError(str(exc), item.line, item.col) from None
+
+
+def _model(cls, read: _Reader) -> _Reader:
+    """A reader building `cls` from the values `read` returns."""
+    return lambda item, warnings: _build(item, cls, *read(item, warnings))
+
+
+def _words(item: _Item, warnings: list[str]) -> tuple[str, ...]:
+    values = item.value if isinstance(item.value, list) else [_text(item, warnings)]
+    return tuple(str(v) for v in values)
+
+
+def _flag(item: _Item, warnings: list[str]) -> bool:
+    _block(item)
+    return True
+
+
+def _ignore(message: str) -> _Reader:
+    """A reader that only warns; `{key}` in `message` names the key."""
+    return lambda item, warnings: warnings.append(f"line {item.line}: " + message.format(key=item.key))
+
+
+def _fill(schema: _Schema, item: _Item, warnings: list[str], code=None) -> dict:
+    """Read the block `item` through `schema` into a dict of attribute values.
+
+    A key without a row goes to `code(item, values, warnings)`, which says
+    whether it handled the key; a key nothing handles is a warning.
+    """
+    values: dict = {}
+    rows = schema.rows
+    for sub in _block(item):
+        row = rows.get(sub.key)
+        if row is None:
+            if code is None or not code(sub, values, warnings):
+                warnings.append(f"line {sub.line}: unknown {schema.label} key {sub.key!r} ignored")
+            continue
+        attr, read, _, many = row
+        value = read(sub, warnings)
+        if not many:
+            if attr is not None:
+                values[attr] = value
+        elif attr in values:
+            values[attr].append(value)
+        else:
+            values[attr] = [value]
+    return values
+
+
+def _make(schema: _Schema, item: _Item, warnings: list[str]):
+    values = _fill(schema, item, warnings)
+    try:
+        return schema.cls(**values)
+    except TypeError:  # a field without a default has no key
+        missing = [
+            f.name for f in fields(schema.cls)
+            if f.name not in values and f.default is MISSING and f.default_factory is MISSING
+        ]
+        raise ConfigParseError(f"{schema.label} missing {missing}", item.line, item.col) from None
+
+
+def _body(obj, rows: dict[str, _Row]) -> list[str]:
+    """The lines printing `obj` through `rows`, values equal to their defaults left out."""
+    defaults = {
+        f.name: f.default if f.default_factory is MISSING else f.default_factory()
+        for f in fields(obj)
+    }
+    lines: list[str] = []
+    for key, row in rows.items():
+        if row.attr is None:
+            continue
+        value = getattr(obj, row.attr)
+        if row.many:
+            for entry in value:
+                lines += row.write(key, entry)
+        elif value != defaults[row.attr]:
+            lines += row.write(key, value)
+    return lines
+
+
+def _child(attr: str, schema: _Schema, many: bool = False) -> _Row:
+    """A row whose value is a block that `schema` declares."""
+    return _Row(
+        attr,
+        lambda item, warnings: _make(schema, item, warnings),
+        lambda key, value: _wrap(key, _body(value, schema.rows)),
+        many,
+    )
+
+
+# --- keys that are not one attribute -----------------------------------------
 
 _EQUALIZER_KINDS = {
     "load_equalizer": "load",
@@ -184,381 +373,136 @@ _EQUALIZER_KINDS = {
 }
 
 
-def _require_block(item: _Item) -> _Block:
-    if not isinstance(item.value, _Block):
-        raise ConfigParseError(f"{item.key!r} must be a block", item.line, item.col)
-    return item.value
-
-
-def _floats(item: _Item, n: int) -> list[float]:
-    value = item.value
-    if not isinstance(value, list) or len(value) != n or not all(
-        isinstance(v, (int, float)) for v in value
-    ):
-        raise ConfigParseError(f"{item.key!r} expects an array of {n} numbers", item.line, item.col)
-    return [float(v) for v in value]
-
-
-def _ints(item: _Item, n: int) -> list[int]:
-    value = item.value
-    if not isinstance(value, list) or len(value) != n or not all(isinstance(v, int) for v in value):
-        raise ConfigParseError(f"{item.key!r} expects an array of {n} integers", item.line, item.col)
-    return list(value)
-
-
-def _wrap(item: _Item, fn, *args):
-    try:
-        return fn(*args)
-    except ConfigError as exc:
-        raise ConfigParseError(str(exc), item.line, item.col) from None
-
-
-class _Builder:
-    def __init__(self):
-        self.warnings: list[str] = []
-
-    def warn(self, item: _Item, message: str) -> None:
-        self.warnings.append(f"line {item.line}: {message}")
-
-    # out-of-scope knobs are parsed over with a warning, not a failure
-    _IGNORED_OBSERVER = {"vrpn_tracker", "eye_left", "eye_right", "eye_cyclop",
-                         "focus_distance", "focus_mode", "eye_base", "wheel", "head"}
-
-    def config(self, items: list[_Item]) -> Config:
-        cfg = Config()
-        for item in items:
-            key = item.key
-            if key in ("config", "server", "global"):
-                inner = self.config(_require_block(item).items)
-                cfg.canvases += inner.canvases
-                cfg.layouts += inner.layouts
-                cfg.observers += inner.observers
-                cfg.compounds += inner.compounds
-                if inner.latency != 1:
-                    cfg.latency = inner.latency
-            elif key == "latency":
-                cfg.latency = int(item.value)
-            elif key == "canvas":
-                cfg.canvases.append(self.canvas(_require_block(item)))
-            elif key == "layout":
-                cfg.layouts.append(self.layout(_require_block(item)))
-            elif key == "observer":
-                cfg.observers.append(self.observer(_require_block(item)))
-            elif key == "compound":
-                cfg.compounds.append(self.compound(_require_block(item)))
-            else:
-                self.warn(item, f"unknown top-level key {key!r} ignored")
-        cfg.warnings = self.warnings
-        return cfg
-
-    def wall(self, block: _Block, item: _Item) -> Wall:
-        corners = {}
-        for sub in block.items:
-            if sub.key in ("bottom_left", "bottom_right", "top_left"):
-                corners[sub.key] = tuple(_floats(sub, 3))
-            else:
-                self.warn(sub, f"unknown wall key {sub.key!r} ignored")
-        missing = {"bottom_left", "bottom_right", "top_left"} - set(corners)
-        if missing:
-            raise ConfigParseError(f"wall missing corners {sorted(missing)}", item.line, item.col)
-        return Wall(corners["bottom_left"], corners["bottom_right"], corners["top_left"])
-
-    def canvas(self, block: _Block) -> Canvas:
-        canvas = Canvas()
-        for item in block.items:
-            if item.key == "name":
-                canvas.name = str(item.value)
-            elif item.key == "segment":
-                canvas.segments.append(self.segment(_require_block(item)))
-            elif item.key == "wall":
-                canvas.wall = self.wall(_require_block(item), item)
-            elif item.key == "layout":
-                canvas.layouts.append(str(item.value))
-            elif item.key == "swapbarrier":
-                _require_block(item)
-                canvas.swap_barrier = True
-            else:
-                self.warn(item, f"unknown canvas key {item.key!r} ignored")
-        return canvas
-
-    def segment(self, block: _Block) -> Segment:
-        segment = Segment()
-        for item in block.items:
-            if item.key == "name":
-                segment.name = str(item.value)
-            elif item.key == "channel":
-                segment.channel = str(item.value)
-            elif item.key == "viewport":
-                segment.viewport = _wrap(item, Viewport, *_floats(item, 4))
-            elif item.key == "wall":
-                segment.wall = self.wall(_require_block(item), item)
-            else:
-                self.warn(item, f"unknown segment key {item.key!r} ignored")
-        return segment
-
-    def layout(self, block: _Block) -> Layout:
-        layout = Layout()
-        for item in block.items:
-            if item.key == "name":
-                layout.name = str(item.value)
-            elif item.key == "view":
-                layout.views.append(self.view(_require_block(item)))
-            else:
-                self.warn(item, f"unknown layout key {item.key!r} ignored")
-        return layout
-
-    def view(self, block: _Block) -> View:
-        view = View()
-        for item in block.items:
-            if item.key == "name":
-                view.name = str(item.value)
-            elif item.key == "viewport":
-                view.viewport = _wrap(item, Viewport, *_floats(item, 4))
-            elif item.key == "observer":
-                view.observer = str(item.value)
-            else:
-                self.warn(item, f"unknown view key {item.key!r} ignored")
-        return view
-
-    def observer(self, block: _Block) -> Observer:
-        observer = Observer()
-        for item in block.items:
-            if item.key == "name":
-                observer.name = str(item.value)
-            elif item.key in self._IGNORED_OBSERVER:
-                self.warn(item, f"observer key {item.key!r} is out of scope, ignored")
-            else:
-                self.warn(item, f"unknown observer key {item.key!r} ignored")
-        return observer
-
-    def frame(self, block: _Block) -> FrameSpec:
-        frame = FrameSpec()
-        for item in block.items:
-            if item.key == "name":
-                frame.name = str(item.value)
-            elif item.key == "type":
-                frame.local_transfer = item.value == "texture"
-            elif item.key == "buffer":
-                self.warn(item, "frame buffer selection is ignored")
-            else:
-                self.warn(item, f"unknown frame key {item.key!r} ignored")
-        return frame
-
-    def tiles(self, block: _Block) -> TileSpec:
-        spec = TileSpec()
-        for item in block.items:
-            if item.key == "name":
-                spec.name = str(item.value)
-            elif item.key == "size":
-                w, h = _ints(item, 2)
-                spec.size = (w, h)
-            else:
-                self.warn(item, f"unknown tile key {item.key!r} ignored")
-        return spec
-
-    def equalizer(self, kind: str, block: _Block) -> EqualizerSpec:
+def _compound_code(sub: _Item, values: dict, warnings: list[str]) -> bool:
+    """`phase` with `period`, and the equalizers with their free-form params."""
+    if sub.key in ("phase", "period"):
+        _integer(sub, warnings)
+        values[sub.key] = sub  # combined once the block is read
+    elif sub.key in _EQUALIZER_KINDS:
         params = {}
-        for item in block.items:
-            if isinstance(item.value, _Block):
-                self.warn(item, f"unknown equalizer block {item.key!r} ignored")
-            elif isinstance(item.value, list):
-                params[item.key] = item.value
+        for param in _block(sub):
+            if isinstance(param.value, _Block):
+                warnings.append(f"line {param.line}: unknown equalizer block {param.key!r} ignored")
             else:
-                params[item.key] = item.value
-        return EqualizerSpec(kind, params)
+                params[param.key] = param.value
+        values.setdefault("equalizers", []).append(EqualizerSpec(_EQUALIZER_KINDS[sub.key], params))
+    else:
+        return False
+    return True
 
-    def compound(self, block: _Block) -> Compound:
-        node = Compound()
-        phase = period = None
-        for item in block.items:
-            key = item.key
-            if key == "compound":
-                node.children.append(self.compound(_require_block(item)))
-            elif key == "channel":
-                node.channel = str(item.value)
-            elif key == "viewport":
-                node.viewport = _wrap(item, Viewport, *_floats(item, 4))
-            elif key == "range":
-                node.range_ = _wrap(item, Range, *_floats(item, 2))
-            elif key == "pixel":
-                node.pixel = _wrap(item, PixelParam, *_ints(item, 4))
-            elif key == "subpixel":
-                index, size = _ints(item, 2)
-                node.subpixel = _wrap(item, SubpixelParam, index, size)
-            elif key == "phase":
-                phase = int(item.value)
-            elif key == "period":
-                period = int(item.value)
-            elif key == "eye":
-                value = item.value if isinstance(item.value, list) else [item.value]
-                node.eye = tuple(str(v) for v in value)
-            elif key == "outputframe":
-                node.output_frames.append(self.frame(_require_block(item)))
-            elif key == "inputframe":
-                node.input_frames.append(self.frame(_require_block(item)))
-            elif key == "outputtiles":
-                node.output_tiles.append(self.tiles(_require_block(item)))
-            elif key == "inputtiles":
-                spec = self.tiles(_require_block(item))
-                node.input_tiles.append(spec.name)
-            elif key in _EQUALIZER_KINDS:
-                node.equalizers.append(self.equalizer(_EQUALIZER_KINDS[key], _require_block(item)))
-            elif key == "task":
-                self.warn(item, "task lists are ignored; all leaves render")
-            else:
-                self.warn(item, f"unknown compound key {key!r} ignored")
-        if phase is not None or period is not None:
-            node.phase_period = _wrap(
-                _Item("phase", 0, 0, 0), PhasePeriod, phase or 0, period or 1
-            )
-        return node
+
+def _compound(item: _Item, warnings: list[str]) -> Compound:
+    values = _fill(_COMPOUND, item, warnings, _compound_code)
+    phase, period = values.pop("phase", None), values.pop("period", None)
+    if phase or period:
+        values["phase_period"] = _build(
+            phase or period, PhasePeriod, phase.value if phase else 0, period.value if period else 1
+        )
+    return Compound(**values)
+
+
+def _write_compound(key: str, node: Compound) -> list[str]:
+    lines = []
+    if node.phase_period != PhasePeriod():
+        lines.append(f"phase {node.phase_period.phase} period {node.phase_period.period}")
+    for eq in node.equalizers:
+        name = next(k for k, kind in _EQUALIZER_KINDS.items() if kind == eq.kind)
+        lines += _wrap(name, [f"{k} {_fmt(v)}" for k, v in eq.params.items()])
+    return _wrap(key, lines + _body(node, _COMPOUND.rows))
+
+
+def _config_code(sub: _Item, values: dict, warnings: list[str]) -> bool:
+    """Nested `config`, `server` and `global` blocks merge into the outer one."""
+    if sub.key not in ("config", "server", "global"):
+        return False
+    for attr, value in _fill(_CONFIG, sub, warnings, _config_code).items():
+        if isinstance(value, list):
+            values.setdefault(attr, []).extend(value)
+        else:
+            values[attr] = value
+    return True
+
+
+# --- one table per block -------------------------------------------------------
+
+_NAME = _Row("name", _text)
+_VIEWPORT = _Row("viewport", _model(Viewport, _numbers(4)))
+
+_WALL = _Schema(Wall, "wall", {
+    corner: _Row(corner, _numbers(3)) for corner in ("bottom_left", "bottom_right", "top_left")
+})
+_SEGMENT = _Schema(Segment, "segment", {
+    "name": _NAME,
+    "channel": _Row("channel", _text),
+    "viewport": _VIEWPORT,
+    "wall": _child("wall", _WALL),
+})
+_CANVAS = _Schema(Canvas, "canvas", {
+    "name": _NAME,
+    "layout": _Row("layouts", _text, many=True),
+    "wall": _child("wall", _WALL),
+    "swapbarrier": _Row("swap_barrier", _flag, lambda key, value: [key + " {}"]),
+    "segment": _child("segments", _SEGMENT, many=True),
+})
+_VIEW = _Schema(View, "view", {
+    "name": _NAME,
+    "viewport": _VIEWPORT,
+    "observer": _Row("observer", _text),
+})
+_LAYOUT = _Schema(Layout, "layout", {"name": _NAME, "view": _child("views", _VIEW, many=True)})
+# out-of-scope knobs are parsed over with a warning, not a failure
+_OUT_OF_SCOPE = _Row(None, _ignore("observer key {key!r} is out of scope, ignored"))
+_OBSERVER = _Schema(Observer, "observer", {
+    "name": _NAME,
+    **dict.fromkeys(("vrpn_tracker", "eye_left", "eye_right", "eye_cyclop", "focus_distance",
+                     "focus_mode", "eye_base", "wheel", "head"), _OUT_OF_SCOPE),
+})
+_FRAME = _Schema(FrameSpec, "frame", {
+    "name": _NAME,
+    "type": _Row(
+        "local_transfer",
+        lambda item, warnings: item.value == "texture",
+        lambda key, value: [key + " texture"],
+    ),
+    "buffer": _Row(None, _ignore("frame buffer selection is ignored")),
+})
+_TILES = _Schema(TileSpec, "tile", {"name": _NAME, "size": _Row("size", _integers(2))})
+_COMPOUND = _Schema(Compound, "compound", {
+    "channel": _Row("channel", _text),
+    "viewport": _VIEWPORT,
+    "range": _Row("range_", _model(Range, _numbers(2))),
+    "pixel": _Row("pixel", _model(PixelParam, _integers(4))),
+    "subpixel": _Row("subpixel", _model(SubpixelParam, _integers(2))),
+    "eye": _Row("eye", _words),
+    "outputtiles": _child("output_tiles", _TILES, many=True),
+    "inputtiles": _Row(
+        "input_tiles",
+        lambda item, warnings: _make(_TILES, item, warnings).name,
+        lambda key, name: _wrap(key, _body(TileSpec(name), _TILES.rows)),
+        many=True,
+    ),
+    "compound": _Row("children", _compound, _write_compound, many=True),
+    "outputframe": _child("output_frames", _FRAME, many=True),
+    "inputframe": _child("input_frames", _FRAME, many=True),
+    "task": _Row(None, _ignore("task lists are ignored; all leaves render")),
+})
+_CONFIG = _Schema(Config, "top-level", {
+    "latency": _Row("latency", _integer),
+    "observer": _child("observers", _OBSERVER, many=True),
+    "canvas": _child("canvases", _CANVAS, many=True),
+    "layout": _child("layouts", _LAYOUT, many=True),
+    "compound": _Row("compounds", _compound, _write_compound, many=True),
+})
 
 
 def parse_config(text: str) -> Config:
-    parser = _Parser(_tokenize(text))
-    builder = _Builder()
-    items = parser.parse_items(until_brace=False)
-    config = builder.config(items)
+    items = _Parser(_tokenize(text)).parse_items(until_brace=False)
+    warnings: list[str] = []
+    values = _fill(_CONFIG, _Item("config", _Block(items), 1, 1), warnings, _config_code)
+    config = Config(**values, warnings=warnings)
     validate_config(config)
     return config
 
 
-# --- pretty printer ------------------------------------------------------------
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-class _Printer:
-    def __init__(self):
-        self.lines: list[str] = []
-        self.depth = 0
-
-    def emit(self, text: str) -> None:
-        self.lines.append("    " * self.depth + text)
-
-    def block(self, name: str):
-        printer = self
-
-        class _Ctx:
-            def __enter__(self):
-                printer.emit(name + " {")
-                printer.depth += 1
-
-            def __exit__(self, *exc):
-                printer.depth -= 1
-                printer.emit("}")
-
-        return _Ctx()
-
-
 def pretty_print(config: Config) -> str:
-    p = _Printer()
-    if config.latency != 1:
-        p.emit(f"latency {config.latency}")
-    for observer in config.observers:
-        with p.block("observer"):
-            if observer.name:
-                p.emit(f'name "{observer.name}"')
-    for canvas in config.canvases:
-        with p.block("canvas"):
-            if canvas.name:
-                p.emit(f'name "{canvas.name}"')
-            for layout_name in canvas.layouts:
-                p.emit(f'layout "{layout_name}"')
-            if canvas.wall:
-                _print_wall(p, canvas.wall)
-            if canvas.swap_barrier:
-                p.emit("swapbarrier {}")
-            for segment in canvas.segments:
-                with p.block("segment"):
-                    if segment.name:
-                        p.emit(f'name "{segment.name}"')
-                    if segment.channel:
-                        p.emit(f'channel "{segment.channel}"')
-                    if segment.viewport != Viewport():
-                        _print_viewport(p, segment.viewport)
-                    if segment.wall:
-                        _print_wall(p, segment.wall)
-    for layout in config.layouts:
-        with p.block("layout"):
-            if layout.name:
-                p.emit(f'name "{layout.name}"')
-            for view in layout.views:
-                with p.block("view"):
-                    if view.name:
-                        p.emit(f'name "{view.name}"')
-                    if view.viewport != Viewport():
-                        _print_viewport(p, view.viewport)
-                    if view.observer:
-                        p.emit(f'observer "{view.observer}"')
-    for compound in config.compounds:
-        _print_compound(p, compound)
-    return "\n".join(p.lines) + "\n"
-
-
-def _print_viewport(p: _Printer, vp: Viewport) -> None:
-    p.emit(f"viewport [ {_fmt(vp.x)} {_fmt(vp.y)} {_fmt(vp.w)} {_fmt(vp.h)} ]")
-
-
-def _print_wall(p: _Printer, wall: Wall) -> None:
-    with p.block("wall"):
-        for key, corner in (
-            ("bottom_left", wall.bottom_left),
-            ("bottom_right", wall.bottom_right),
-            ("top_left", wall.top_left),
-        ):
-            p.emit(f"{key} [ {' '.join(_fmt(c) for c in corner)} ]")
-
-
-def _print_compound(p: _Printer, node: Compound) -> None:
-    with p.block("compound"):
-        if node.channel is not None:
-            p.emit(f'channel "{node.channel}"')
-        if node.viewport != Viewport():
-            _print_viewport(p, node.viewport)
-        if node.range_ != Range():
-            p.emit(f"range [ {_fmt(node.range_.lo)} {_fmt(node.range_.hi)} ]")
-        if not node.pixel.identity:
-            px = node.pixel
-            p.emit(f"pixel [ {px.x_offset} {px.y_offset} {px.x_count} {px.y_count} ]")
-        if not node.subpixel.identity:
-            p.emit(f"subpixel [ {node.subpixel.index} {node.subpixel.size} ]")
-        if node.phase_period.period != 1:
-            p.emit(f"phase {node.phase_period.phase} period {node.phase_period.period}")
-        if node.eye:
-            p.emit("eye [ " + " ".join(node.eye) + " ]")
-        for eq in node.equalizers:
-            kind = next(k for k, v in _EQUALIZER_KINDS.items() if v == eq.kind)
-            if not eq.params:
-                p.emit(kind + " {}")
-            else:
-                with p.block(kind):
-                    for key, value in eq.params.items():
-                        if isinstance(value, list):
-                            p.emit(f"{key} [ {' '.join(_fmt(v) for v in value)} ]")
-                        elif isinstance(value, str) and not _INT.match(value) and key == "name":
-                            p.emit(f'{key} "{value}"')
-                        else:
-                            p.emit(f"{key} {_fmt(value)}")
-        for spec in node.output_tiles:
-            with p.block("outputtiles"):
-                p.emit(f'name "{spec.name}"')
-                p.emit(f"size [ {spec.size[0]} {spec.size[1]} ]")
-        for name in node.input_tiles:
-            with p.block("inputtiles"):
-                p.emit(f'name "{name}"')
-        for child in node.children:
-            _print_compound(p, child)
-        for frame in node.output_frames:
-            with p.block("outputframe"):
-                if frame.name:
-                    p.emit(f'name "{frame.name}"')
-                if frame.local_transfer:
-                    p.emit("type texture")
-        for frame in node.input_frames:
-            with p.block("inputframe"):
-                p.emit(f'name "{frame.name}"')
+    return "\n".join(_body(config, _CONFIG.rows)) + "\n"

@@ -4,8 +4,8 @@ Two unicast transports share one blocking interface: an in-process pipe
 (for tests and single-host setups) and TCP.  Both deliver an ordered,
 reliable byte stream in each direction, and closing one end is observable
 by the peer as end-of-stream after all delivered bytes.  A `timeout` bounds
-the whole call; a read or accept fails at once with ConnectionClosedError
-when its end closes.
+the whole call, and a read that times out consumes nothing; a read or
+accept fails at once with ConnectionClosedError when its end closes.
 """
 
 from __future__ import annotations
@@ -174,6 +174,7 @@ class TcpConnection(Connection):
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._received = ByteQueue()  # bytes read by a recv that timed out
 
     def send(self, data: bytes) -> None:
         try:
@@ -183,24 +184,22 @@ class TcpConnection(Connection):
 
     def recv(self, n: int, timeout: Optional[float] = None) -> bytes:
         deadline = None if timeout is None else time.monotonic() + timeout
-        parts = []
-        got = 0
-        while got < n:
+        received = self._received
+        while len(received) < n:
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:
                 raise TimeoutError("read timed out")
             self._sock.settimeout(remaining)
             try:
-                chunk = self._sock.recv(n - got)
+                chunk = self._sock.recv(n - len(received))
             except socket.timeout:
                 raise TimeoutError("read timed out") from None
             except OSError as exc:
                 raise ConnectionClosedError(str(exc)) from exc
             if not chunk:
-                raise ConnectionClosedError(f"closed with {got} of {n} bytes available")
-            parts.append(chunk)
-            got += len(chunk)
-        return b"".join(parts)
+                raise ConnectionClosedError(f"closed with {len(received)} of {n} bytes available")
+            received.append(chunk)
+        return received.take(n)
 
     def close(self) -> None:
         try:
@@ -269,6 +268,10 @@ class TcpListener(Listener):
         return TcpConnection(sock)
 
     def close(self) -> None:
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept
+        except OSError:
+            pass
         self._sock.close()
 
 

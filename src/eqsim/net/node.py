@@ -3,8 +3,11 @@
 A LocalNode listens on one or more connection endpoints.  Every accepted
 or outgoing connection is wrapped in a RemoteNode after a node-id
 handshake, and a dedicated receive thread dispatches incoming commands to
-registered handlers, in per-peer receive order.  Commands with an unknown
-type are counted and reported, not fatal.
+registered handlers, in per-peer receive order.  An accepted connection's
+receive thread runs its handshake too, so a silent client delays no other
+connect.  Peer-connected callbacks run before the peer's first command is
+dispatched.  Commands with an unknown type are counted and reported, not
+fatal.
 
 Frame layout: u32 LE frame length | u16 command type | u32 request id |
 payload.  The 10-byte header and the payload travel as two writes under
@@ -13,7 +16,8 @@ header and frames from concurrent senders never interleave.  Request id
 0 means fire-and-forget; nonzero ids correlate a blocking `request` with
 its REPLY; its `timeout` bounds the whole call, as HANDSHAKE_TIMEOUT bounds
 connecting.  A request still pending when its peer's connection ends, or
-when the local node closes, fails at once with ConnectionClosedError.
+when the local node closes, fails at once with ConnectionClosedError;
+closing the node also ends its accepts and handshakes at once.
 """
 
 from __future__ import annotations
@@ -108,6 +112,7 @@ class LocalNode:
         self._listeners: list[tuple[Listener, threading.Thread]] = []
         self._peers: dict[uuid.UUID, RemoteNode] = {}
         self._peer_threads: list[threading.Thread] = []
+        self._handshakes: set[Connection] = set()  # accepted, not yet a peer
         self._lock = threading.Lock()
         self._closed = False
         self._request_ids = itertools.count(1)
@@ -141,7 +146,9 @@ class LocalNode:
         except (TransportError, TimeoutError):
             conn.close()
             raise
-        return self._add_peer(peer_id, conn)
+        peer = self._add_peer(peer_id, conn)
+        self._start_thread(self._receive_loop, peer)
+        return peer
 
     def _accept_loop(self, listener: Listener) -> None:
         while not self._closed:
@@ -149,23 +156,35 @@ class LocalNode:
                 conn = listener.accept()
             except (ConnectionClosedError, TransportError, OSError):
                 return
-            try:
-                peer_id = uuid.UUID(bytes=conn.recv(16, timeout=HANDSHAKE_TIMEOUT))
-                conn.send(self.node_id.bytes)
-            except (TransportError, TimeoutError, OSError):
+            self._start_thread(self._serve_accepted, conn)
+
+    def _serve_accepted(self, conn: Connection) -> None:
+        """Receive thread of an accepted connection: handshake, then dispatch."""
+        with self._lock:
+            if self._closed:
                 conn.close()
-                continue
-            self._add_peer(peer_id, conn)
+                return
+            self._handshakes.add(conn)  # so that close ends the handshake
+        try:
+            peer_id = uuid.UUID(bytes=conn.recv(16, timeout=HANDSHAKE_TIMEOUT))
+            conn.send(self.node_id.bytes)
+        except (TransportError, TimeoutError, OSError):
+            conn.close()
+            return
+        finally:
+            with self._lock:
+                self._handshakes.discard(conn)
+        self._receive_loop(self._add_peer(peer_id, conn))
+
+    def _start_thread(self, target: Callable, arg) -> None:
+        thread = threading.Thread(target=target, args=(arg,), daemon=True, name=f"{self.name}-recv")
+        thread.start()
+        self._peer_threads.append(thread)
 
     def _add_peer(self, peer_id: uuid.UUID, conn: Connection) -> RemoteNode:
         peer = RemoteNode(peer_id, conn, self)
         with self._lock:
             self._peers[peer_id] = peer
-        thread = threading.Thread(
-            target=self._receive_loop, args=(peer,), daemon=True, name=f"{self.name}-recv"
-        )
-        thread.start()
-        self._peer_threads.append(thread)
         for cb in list(self.peer_connected_callbacks):
             cb(peer)
         return peer
@@ -199,6 +218,7 @@ class LocalNode:
                         pass
                 continue
             handler(Command(self, peer, cmd_type, request_id, payload))
+        peer.close()
         peer.alive = False
         with self._lock:
             self._peers.pop(peer.node_id, None)
@@ -248,6 +268,10 @@ class LocalNode:
         self._closed = True
         for listener, _ in self._listeners:
             listener.close()
+        with self._lock:
+            handshakes = list(self._handshakes)
+        for conn in handshakes:
+            conn.close()
         for peer in self.peers:
             peer.close()
         self._fail_waiters(None)

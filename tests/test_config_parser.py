@@ -1,17 +1,33 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqsim.compound import (
+    FULL_RANGE,
+    FULL_VIEWPORT,
+    Canvas,
+    Compound,
+    Config,
     ConfigError,
     ConfigParseError,
+    EqualizerSpec,
+    FrameSpec,
+    Layout,
+    Observer,
     PhasePeriod,
     PixelParam,
     Range,
+    Segment,
     SubpixelParam,
+    TileSpec,
+    View,
     Viewport,
+    Wall,
     parse_config,
     pretty_print,
+    validate_config,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -154,4 +170,152 @@ def test_pretty_print_parse_fixpoint(path):
     reparsed = parse_config(printed)
     assert reparsed == cfg
     # and printing again is stable
+    assert pretty_print(reparsed) == printed
+
+
+# --- malformed values fail at their position ------------------------------------
+
+
+def test_invalid_phase_period_fails_at_the_phase():
+    with pytest.raises(ConfigParseError, match="phase/period") as err:
+        parse_config('compound {\n  channel "c"\n  phase 3 period 2\n}')
+    assert (err.value.line, err.value.col) == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("latency foo", 3),
+        ("latency [ 1 2 ]", 3),
+        ('compound { channel "c" phase 1.5 }', 26),
+    ],
+)
+def test_non_integer_fails_at_its_key(text, col):
+    with pytest.raises(ConfigParseError, match="expects an integer") as err:
+        parse_config("\n  " + text)
+    assert (err.value.line, err.value.col) == (2, col)
+
+
+def test_unterminated_string_fails_at_its_quote():
+    with pytest.raises(ConfigParseError, match="unterminated string") as err:
+        parse_config('# header\ncompound { channel "c }\n')
+    assert (err.value.line, err.value.col) == (2, 20)
+
+
+def test_param_with_spaces_prints_and_reparses():
+    cfg = parse_config('compound { channel "c" load_equalizer { mode "two words" } }')
+    reparsed = parse_config(pretty_print(cfg))
+    assert reparsed.compounds[0].equalizers[0].params == {"mode": "two words"}
+
+
+def test_nested_latency_one_overrides_the_outer_latency():
+    assert parse_config("config { latency 3 config { latency 1 } }").latency == 1
+    assert parse_config("latency 3 server { }").latency == 3
+
+
+# --- parse(pretty_print(cfg)) == cfg for generated configs ------------------------
+
+# a quoted string holds anything but a quote or a line break
+texts = st.text(
+    st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp"), exclude_characters='"'),
+    max_size=6,
+)
+bare_words = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,5}", fullmatch=True)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+vec3 = st.tuples(finite, finite, finite)
+walls = st.builds(Wall, vec3, vec3, vec3)
+viewports = st.just(FULL_VIEWPORT) | st.builds(
+    Viewport, st.floats(0, 0.5), st.floats(0, 0.5), st.floats(0.01, 0.5), st.floats(0.01, 0.5)
+)
+ranges = st.just(FULL_RANGE) | st.builds(Range, st.floats(0, 0.49), st.floats(0.5, 1))
+param_scalars = st.integers() | finite | st.floats(-1e-3, 1e-3) | texts | bare_words
+equalizers = st.builds(
+    EqualizerSpec,
+    st.sampled_from(["load", "tree", "framerate", "tile", "chunk", "dfr", "monitor", "view"]),
+    st.dictionaries(
+        st.from_regex(r"[a-z_][a-z0-9_]{0,7}", fullmatch=True),
+        param_scalars | st.lists(param_scalars, max_size=3),
+        max_size=3,
+    ),
+)
+
+
+@st.composite
+def pixels(draw):
+    x_count, y_count = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return PixelParam(
+        draw(st.integers(0, x_count - 1)), draw(st.integers(0, y_count - 1)), x_count, y_count
+    )
+
+
+@st.composite
+def subpixels(draw):
+    size = draw(st.integers(1, 4))
+    return SubpixelParam(draw(st.integers(0, size - 1)), size)
+
+
+@st.composite
+def compounds(draw, depth=0, phase_period=PhasePeriod()):
+    node = Compound(
+        channel=draw(texts),
+        viewport=draw(viewports),
+        range_=draw(ranges),
+        pixel=draw(pixels()),
+        subpixel=draw(subpixels()),
+        phase_period=phase_period,
+        eye=tuple(draw(st.lists(bare_words | texts, max_size=2))),
+        equalizers=draw(st.lists(equalizers, max_size=2)),
+    )
+    if depth < 2 and draw(st.booleans()):
+        period = draw(st.integers(1, 3))  # siblings share one period
+        for _ in range(draw(st.integers(1, 3))):
+            timing = PhasePeriod(draw(st.integers(0, period - 1)), period)
+            node.children.append(draw(compounds(depth + 1, timing)))
+    else:
+        node.output_frames = [FrameSpec(None, draw(st.booleans())) for _ in range(draw(st.integers(0, 1)))]
+        node.input_tiles = draw(st.lists(texts, max_size=1))
+    return node
+
+
+@st.composite
+def roots(draw):
+    root = draw(compounds())
+    produced = [frame for node in root.walk() for frame in node.output_frames]
+    for i, frame in enumerate(produced):
+        frame.name = f"f{i}"
+    root.input_frames += [FrameSpec(f.name) for f in produced if draw(st.booleans())]
+    root.output_tiles = draw(
+        st.lists(st.builds(TileSpec, texts, st.tuples(st.integers(1, 512), st.integers(1, 512))), max_size=1)
+    )
+    return root
+
+
+segments = st.builds(Segment, texts, texts, viewports, st.none() | walls)
+canvases = st.builds(
+    Canvas, texts, st.lists(segments, min_size=1, max_size=2), st.none() | walls,
+    st.lists(texts, max_size=2), st.booleans(),
+)
+views = st.builds(View, texts, viewports, st.none() | texts)
+layouts = st.builds(Layout, texts, st.lists(views, min_size=1, max_size=2))
+
+
+@st.composite
+def configs(draw):
+    cfg = Config(
+        latency=draw(st.integers(-2, 8)),
+        canvases=draw(st.lists(canvases, max_size=2)),
+        layouts=draw(st.lists(layouts, max_size=2)),
+        observers=draw(st.lists(st.builds(Observer, texts), max_size=2)),
+        compounds=draw(st.lists(roots(), max_size=2)),
+    )
+    validate_config(cfg)  # numbers the compound nodes, as parsing does
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_pretty_print_parse_roundtrip(cfg):
+    printed = pretty_print(cfg)
+    reparsed = parse_config(printed)
+    assert reparsed == cfg
     assert pretty_print(reparsed) == printed

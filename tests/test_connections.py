@@ -1,3 +1,4 @@
+import os
 import socket
 import struct
 import sys
@@ -213,6 +214,81 @@ def test_connect_to_silent_peer_fails_within_the_handshake_timeout(monkeypatch):
     finally:
         node.close()
         server.close()
+
+
+def test_tcp_timeout_consumes_nothing():
+    listener = listen(ConnectionDescription(TCP, "127.0.0.1", 0))
+    client = connect(ConnectionDescription(TCP, "127.0.0.1", listener.port))
+    server = listener.accept(timeout=2)
+    try:
+        client.send(b"ab")
+        with pytest.raises(TimeoutError):
+            server.recv(4, timeout=0.2)
+        client.send(b"cdef")
+        assert server.recv(4, timeout=2) == b"abcd"
+        assert server.recv(2, timeout=2) == b"ef"
+    finally:
+        client.close()
+        server.close()
+        listener.close()
+
+
+def test_silent_client_does_not_stall_later_connects(monkeypatch):
+    monkeypatch.setattr(node_module, "HANDSHAKE_TIMEOUT", 1.0)
+    hub, other = LocalNode("hub"), LocalNode("other")
+    listener = hub.listen(ConnectionDescription(TCP, "127.0.0.1", 0))
+    silent = socket.create_connection(("127.0.0.1", listener.port))
+    try:
+        time.sleep(0.05)  # the hub has accepted the silent client
+        t0 = time.monotonic()
+        peer = other.connect_to(ConnectionDescription(TCP, "127.0.0.1", listener.port))
+        assert time.monotonic() - t0 < 0.5
+        assert peer.node_id == hub.node_id
+    finally:
+        silent.close()
+        other.close()
+        hub.close()
+
+
+def test_close_ends_accept_and_pending_handshakes_at_once():
+    hub = LocalNode("hub")
+    listener = hub.listen(ConnectionDescription(TCP, "127.0.0.1", 0))
+    silent = socket.create_connection(("127.0.0.1", listener.port))
+    silent.settimeout(2)
+    try:
+        time.sleep(0.05)  # the hub has accepted the silent client
+        t0 = time.monotonic()
+        hub.close()
+        assert time.monotonic() - t0 < 0.5
+        assert silent.recv(1) == b""  # the hub closed its end
+    finally:
+        silent.close()
+
+
+def open_sockets() -> int:
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except FileNotFoundError:  # the descriptor that listed the directory
+            pass
+    return count
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_node_closes_the_connection_of_a_peer_that_left():
+    hub, other = LocalNode("hub"), LocalNode("other")
+    listener = hub.listen(ConnectionDescription(TCP, "127.0.0.1", 0))
+    lost = threading.Event()
+    hub.peer_disconnected_callbacks.append(lambda peer: lost.set())
+    try:
+        before = open_sockets()
+        other.connect_to(ConnectionDescription(TCP, "127.0.0.1", listener.port))
+        other.close()
+        assert lost.wait(2)
+        assert open_sockets() <= before
+    finally:
+        hub.close()
 
 
 def test_rate_limited_connection_throughput():
