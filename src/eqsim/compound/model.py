@@ -301,8 +301,6 @@ class RenderTask:
     range_: Range = FULL_RANGE
     pixel: PixelParam = IDENTITY_PIXEL
     subpixel: SubpixelParam = IDENTITY_SUBPIXEL
-    node: Optional[int] = None
-    roi: Optional[PixelRect] = None
     local_transfer: bool = False
     source_index: int = -1  # originating compound node
 

@@ -38,6 +38,7 @@ True
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple, Optional, Union
@@ -114,13 +115,17 @@ _INT = re.compile(r"^[+-]?\d+$")
 _FLOAT = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+[eE][+-]?\d+|\d+\.\d*[eE][+-]?\d+)$")
 
 
-def _scalar(text: str) -> Scalar:
+def _scalar(tok: _Token) -> Scalar:
+    text = tok.text
     if text.startswith('"'):
         return text[1:-1]
     if _INT.match(text):
         return int(text)
     if _FLOAT.match(text):
-        return float(text)
+        value = float(text)
+        if math.isinf(value):
+            raise ConfigParseError(f"number {text} is too large", tok.line, tok.col)
+        return value
     return text  # bare word
 
 
@@ -183,8 +188,8 @@ class _Parser:
                     raise ConfigParseError(
                         f"malformed array element {tok.text!r}", tok.line, tok.col
                     )
-                values.append(_scalar(self.next().text))
-        return _Item(key.text, _scalar(self.next().text), key.line, key.col)
+                values.append(_scalar(self.next()))
+        return _Item(key.text, _scalar(self.next()), key.line, key.col)
 
 
 # --- the block tables -----------------------------------------------------------

@@ -2,12 +2,16 @@
 
 A LocalNode listens on one or more connection endpoints.  Every accepted
 or outgoing connection is wrapped in a RemoteNode after a node-id
-handshake, and a dedicated receive thread dispatches incoming commands to
-registered handlers, in per-peer receive order.  An accepted connection's
-receive thread runs its handshake too, so a silent client delays no other
-connect.  Peer-connected callbacks run before the peer's first command is
-dispatched.  Commands with an unknown type are counted and reported, not
-fatal.
+handshake, and a dedicated receive thread reads its commands in per-peer
+receive order.  An accepted connection's receive thread runs its
+handshake too, so a silent client delays no other connect.  Peer-connected
+callbacks run before the peer's first command is dispatched.
+
+`LocalNode.dispatch` is the one way in for a received command, whatever
+carried it: the receive threads call it, and so does a multicast channel
+such as the object layer's hub.  It resolves replies and hands every
+other command to the handler registered for its type.  Commands with an
+unknown type are counted and reported, not fatal.
 
 Frame layout: u32 LE frame length | u16 command type | u32 request id |
 payload.  The 10-byte header and the payload travel as two writes under
@@ -55,7 +59,7 @@ class RemoteError(Exception):
 @dataclass
 class Command:
     node: "LocalNode"
-    peer: "RemoteNode"
+    peer: Optional["RemoteNode"]  # None: multicast from a node with no connection here
     type: int
     request_id: int
     payload: bytes
@@ -194,6 +198,10 @@ class LocalNode:
         with self._lock:
             return list(self._peers.values())
 
+    def peer(self, node_id: uuid.UUID) -> Optional[RemoteNode]:
+        with self._lock:
+            return self._peers.get(node_id)
+
     # --- dispatch -------------------------------------------------------
 
     def _receive_loop(self, peer: RemoteNode) -> None:
@@ -205,19 +213,7 @@ class LocalNode:
                 payload = conn.recv(length - 6) if length > 6 else b""
             except (TransportError, OSError):
                 break
-            if cmd_type in (CMD_REPLY, CMD_REPLY_ERROR):
-                self._resolve(request_id, cmd_type, payload)
-                continue
-            handler = self._handlers.get(cmd_type)
-            if handler is None:
-                self.unknown_commands += 1
-                if request_id:
-                    try:
-                        peer.send_raw(CMD_REPLY_ERROR, request_id, b"unknown command")
-                    except TransportError:
-                        pass
-                continue
-            handler(Command(self, peer, cmd_type, request_id, payload))
+            self.dispatch(peer, cmd_type, request_id, payload)
         peer.close()
         peer.alive = False
         with self._lock:
@@ -225,6 +221,23 @@ class LocalNode:
         self._fail_waiters(peer)
         for cb in list(self.peer_disconnected_callbacks):
             cb(peer)
+
+    def dispatch(self, peer: Optional[RemoteNode], cmd_type: int, request_id: int, payload: bytes) -> None:
+        """Hand one received command to its handler, or resolve the request it answers."""
+        if cmd_type in (CMD_REPLY, CMD_REPLY_ERROR):
+            self._resolve(request_id, cmd_type, payload)
+            return
+        handler = self._handlers.get(cmd_type)
+        if handler is None:
+            with self._lock:
+                self.unknown_commands += 1
+            if request_id:
+                try:
+                    peer.send_raw(CMD_REPLY_ERROR, request_id, b"unknown command")
+                except TransportError:
+                    pass
+            return
+        handler(Command(self, peer, cmd_type, request_id, payload))
 
     def _resolve(self, request_id: int, cmd_type: int, payload: bytes) -> None:
         with self._lock:

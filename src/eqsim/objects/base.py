@@ -54,8 +54,11 @@ class DistributedObject:
 
     The master instance is registered on one node and generates versions on
     commit; slave instances map the id elsewhere and advance via sync.  By
-    default deltas fall back to full instance data.
+    default deltas fall back to full instance data, and a commit carries
+    `dirty_mask` to the slaves' `apply_delta`.
     """
+
+    dirty_mask = 0
 
     def __init__(self):
         self.object_id: uuid.UUID | None = None
@@ -77,8 +80,14 @@ class DistributedObject:
     def deserialize_delta(self, stream: InputStream) -> None:
         self.deserialize_instance(stream)
 
+    def apply_delta(self, stream: InputStream, mask: int) -> None:
+        self.deserialize_delta(stream)
+
     def is_dirty(self) -> bool:
         return True
+
+    def clear_dirty(self) -> None:
+        pass
 
     # conveniences once attached
     def commit(self) -> int:

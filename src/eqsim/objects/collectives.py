@@ -2,10 +2,14 @@
 
 All three follow the master/slave pattern of the object layer: one node
 owns the authoritative state, remote participants reach it through
-commands addressed by the collective's id.  A `timeout` bounds the whole
-call; a barrier entry fails at once with BarrierError when a participant
-leaves, a pop with QueueError when its queue's master is lost, and a
-queue hands the items a lost consumer did not get to the others.
+commands addressed by the collective's id.  Barriers, queues and queue
+consumers enter themselves in the manager's collective table of the
+command they take; the manager hands them each such command by the id at
+the head of its payload and tells them of every lost peer, and only
+masters answer a locate.  A `timeout` bounds the whole call; a barrier
+entry fails at once with BarrierError when a participant leaves, a pop
+with QueueError when its queue's master is lost, and a queue hands the
+items a lost consumer did not get to the others.
 """
 
 from __future__ import annotations
@@ -27,12 +31,8 @@ from .base import (
     ObjectError,
     UnknownObjectError,
 )
-from .manager import ObjectManager
+from .manager import CMD_BARRIER_ENTER, CMD_QUEUE_ITEM, CMD_QUEUE_POP, ObjectManager
 from .serializable import Serializable
-
-CMD_BARRIER_ENTER = 0x30
-CMD_QUEUE_POP = 0x31
-CMD_QUEUE_ITEM = 0x32
 
 _ITEM_END = 1
 
@@ -45,62 +45,12 @@ class QueueError(ObjectError):
     pass
 
 
-def _install_collective_handlers(manager: ObjectManager) -> None:
-    if getattr(manager, "_collectives_installed", False):
-        return
-    manager.node.register_handler(CMD_BARRIER_ENTER, lambda cmd: _on_barrier_enter(manager, cmd))
-    manager.node.register_handler(CMD_QUEUE_POP, lambda cmd: _on_queue_pop(manager, cmd))
-    manager.node.register_handler(CMD_QUEUE_ITEM, lambda cmd: _on_queue_item(manager, cmd))
-    manager.node.peer_disconnected_callbacks.append(
-        lambda peer: _on_collective_peer_lost(manager, peer)
-    )
-    manager._collectives_installed = True
-    manager.queue_consumers = {}
-
-
-def _on_barrier_enter(manager: ObjectManager, cmd: Command) -> None:
-    barrier_id = uuid.UUID(bytes=cmd.payload[:16])
-    (round_no,) = struct.unpack_from("<Q", cmd.payload, 16)
-    master = manager.collectives.get(barrier_id)
-    if not isinstance(master, BarrierMaster):
-        cmd.reply_error("unknown barrier")
-        return
-    master._enter(round_no, reply=cmd.reply, reply_error=cmd.reply_error, peer=cmd.peer.node_id)
-
-
-def _on_queue_pop(manager: ObjectManager, cmd: Command) -> None:
-    queue_id = uuid.UUID(bytes=cmd.payload[:16])
-    (credits,) = struct.unpack_from("<H", cmd.payload, 16)
-    master = manager.collectives.get(queue_id)
-    if isinstance(master, DistributedQueue):
-        master._serve(cmd.peer, credits)
-
-
-def _on_queue_item(manager: ObjectManager, cmd: Command) -> None:
-    queue_id = uuid.UUID(bytes=cmd.payload[:16])
-    consumer = manager.queue_consumers.get(queue_id)
-    if consumer is not None:
-        consumer._on_item(cmd.payload[16], cmd.payload[17:])
-
-
-def _on_collective_peer_lost(manager: ObjectManager, peer: RemoteNode) -> None:
-    for master in list(manager.collectives.values()):
-        if isinstance(master, BarrierMaster):
-            master._peer_lost(peer.node_id)
-        elif isinstance(master, DistributedQueue):
-            master._dispatch({peer})
-    for consumer in list(manager.queue_consumers.values()):
-        with consumer._cond:
-            consumer._cond.notify_all()  # a pop from a lost master fails at once
-
-
 class BarrierMaster:
     """Master side of a distributed barrier; also a local participant handle."""
 
     def __init__(self, manager: ObjectManager, height: int):
         if height < 1:
             raise ValueError("height must be at least 1")
-        _install_collective_handlers(manager)
         self.manager = manager
         self.barrier_id = uuid.uuid4()
         self.height = height
@@ -109,7 +59,11 @@ class BarrierMaster:
         self._entered: dict[int, set] = {}   # round -> participant ids seen
         self._local_round = 0
         self._failed: Optional[str] = None
-        manager.collectives[self.barrier_id] = self
+        manager.collectives[CMD_BARRIER_ENTER][self.barrier_id] = self
+
+    def _on_command(self, cmd: Command) -> None:
+        (round_no,) = struct.unpack_from("<Q", cmd.payload, 16)
+        self._enter(round_no, cmd.reply, cmd.reply_error, cmd.peer.node_id)
 
     def _enter(self, round_no: int, reply, reply_error, peer) -> None:
         with self._lock:
@@ -146,12 +100,12 @@ class BarrierMaster:
         if errors:
             raise BarrierError(errors[0])
 
-    def _peer_lost(self, peer_id) -> None:
+    def _peer_lost(self, peer: RemoteNode) -> None:
         with self._lock:
-            affected = any(peer_id in seen for seen in self._entered.values())
+            affected = any(peer.node_id in seen for seen in self._entered.values())
             if not affected:
                 return
-            self._failed = f"barrier participant {peer_id} disconnected"
+            self._failed = f"barrier participant {peer.node_id} disconnected"
             pending = [w for ws in self._rounds.values() for w in ws]
             self._rounds.clear()
             self._entered.clear()
@@ -166,7 +120,6 @@ class BarrierSlave:
     """Remote participant handle."""
 
     def __init__(self, manager: ObjectManager, barrier_id: uuid.UUID, timeout: float = 30.0):
-        _install_collective_handlers(manager)
         self.manager = manager
         self.barrier_id = barrier_id
         self.master = manager.locate_master(barrier_id, timeout)
@@ -185,14 +138,13 @@ class DistributedQueue:
     """Single-producer FIFO; items are handed to exactly one consumer."""
 
     def __init__(self, manager: ObjectManager):
-        _install_collective_handlers(manager)
         self.manager = manager
         self.queue_id = uuid.uuid4()
         self._items: deque[bytes] = deque()
         self._pending: deque = deque()  # (peer, credits) served as items arrive
         self._closed = False
         self._lock = threading.Lock()
-        manager.collectives[self.queue_id] = self
+        manager.collectives[CMD_QUEUE_POP][self.queue_id] = self
 
     def push(self, item: bytes) -> None:
         with self._lock:
@@ -220,10 +172,14 @@ class DistributedQueue:
                 sends.append((peer, _ITEM_END, b""))
         return sends
 
-    def _serve(self, peer: RemoteNode, credits: int) -> None:
+    def _on_command(self, cmd: Command) -> None:
+        (credits,) = struct.unpack_from("<H", cmd.payload, 16)
         with self._lock:
-            self._pending.append((peer, credits))
+            self._pending.append((cmd.peer, credits))
         self._dispatch()
+
+    def _peer_lost(self, peer: RemoteNode) -> None:
+        self._dispatch({peer})
 
     def _dispatch(self, lost=frozenset(), unsent=()) -> None:
         """Send what the pending credits take, outside the lock.  The credits
@@ -252,8 +208,8 @@ class QueueConsumer:
     def __init__(self, manager: ObjectManager, queue_id: uuid.UUID, prefetch: int = 4, timeout: float = 30.0):
         if prefetch < 1:
             raise ValueError("prefetch window must be at least 1")
-        _install_collective_handlers(manager)
-        if queue_id in manager.queue_consumers:
+        consumers = manager.collectives[CMD_QUEUE_ITEM]
+        if queue_id in consumers:
             raise QueueError("queue already mapped on this node")
         self.manager = manager
         self.queue_id = queue_id
@@ -263,20 +219,24 @@ class QueueConsumer:
         self._cond = threading.Condition()
         self._ended = False
         self.max_buffered = 0
-        manager.queue_consumers[queue_id] = self
+        consumers[queue_id] = self
         self._request(prefetch)
 
     def _request(self, credits: int) -> None:
         self.master.send_command(CMD_QUEUE_POP, self.queue_id.bytes + struct.pack("<H", credits))
 
-    def _on_item(self, flags: int, item: bytes) -> None:
+    def _on_command(self, cmd: Command) -> None:
         with self._cond:
-            if flags & _ITEM_END:
+            if cmd.payload[16] & _ITEM_END:
                 self._ended = True
             else:
-                self._local.append(item)
+                self._local.append(cmd.payload[17:])
                 self.max_buffered = max(self.max_buffered, len(self._local))
             self._cond.notify_all()
+
+    def _peer_lost(self, peer: RemoteNode) -> None:
+        with self._cond:
+            self._cond.notify_all()  # a pop from a lost master fails at once
 
     def pop(self, timeout: float = 30.0) -> Optional[bytes]:
         with self._cond:

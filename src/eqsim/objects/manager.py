@@ -5,11 +5,20 @@ slave on that node.  Mapping is a slave-triggered pull: the slave locates
 the master among its connected peers and requests instance data (or
 confirms a cached copy).  Commits are master-triggered pushes: delta or
 instance payloads are queued on the slaves and applied when the
-application syncs.  With a multicast hub joined and at least two slaves
-mapped, one broadcast replaces the per-slave unicasts, and idle nodes
-cache snooped instance payloads.  A `timeout` bounds the whole call; a
-sync or blocking commit fails at once with SlaveDisconnectedError when
-the node it waits on is lost.
+application syncs.  A `timeout` bounds the whole call; a sync or blocking
+commit fails at once with SlaveDisconnectedError when the node it waits on
+is lost.
+
+Every object-layer command reaches its handler through the node's
+dispatch, whether a peer connection or the multicast hub carried it.  A
+commit push, a map's catch-up pushes and a preload go by one hub
+broadcast when the hub is joined, there are at least two targets and the
+hub covers them all; otherwise by one unicast per target.  A node caches
+an instance push for an object it has not mapped (snooping) however it
+arrived, and a preload is such a push.  The barriers, queues and queue
+consumers of `collectives` are entered in the manager's collective
+tables, which dispatch their commands by the id at the head of the
+payload; only masters answer a locate.
 
 Instance and delta payloads are chunked byte streams (optionally
 compressed per chunk) produced by the codec layer's output streams.  A
@@ -49,7 +58,6 @@ from .base import (
     VersionError,
 )
 from .cache import InstanceCache
-from .serializable import Serializable
 
 CMD_OBJ_LOCATE = 0x20
 CMD_OBJ_MAP = 0x21
@@ -57,6 +65,9 @@ CMD_OBJ_UNMAP = 0x22
 CMD_OBJ_PUSH = 0x23
 CMD_OBJ_TOKEN = 0x24
 CMD_OBJ_PRELOAD = 0x25
+CMD_BARRIER_ENTER = 0x30
+CMD_QUEUE_POP = 0x31
+CMD_QUEUE_ITEM = 0x32
 
 KIND_INSTANCE = 0
 KIND_DELTA = 1
@@ -105,8 +116,11 @@ class ObjectManager:
 
         self._masters: dict[uuid.UUID, _MasterEntry] = {}
         self._slaves: dict[uuid.UUID, _SlaveEntry] = {}
-        #: masters of barriers and queues, consulted by locate requests
-        self.collectives: dict[uuid.UUID, object] = {}
+        #: collective tables, by the command their entries take and then by id:
+        #: barrier and queue masters, which answer locates, and queue consumers
+        self.collectives: dict[int, dict[uuid.UUID, object]] = {
+            cmd_type: {} for cmd_type in (CMD_BARRIER_ENTER, CMD_QUEUE_POP, CMD_QUEUE_ITEM)
+        }
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
 
@@ -125,7 +139,9 @@ class ObjectManager:
         node.register_handler(CMD_OBJ_UNMAP, self._on_unmap)
         node.register_handler(CMD_OBJ_PUSH, self._on_push)
         node.register_handler(CMD_OBJ_TOKEN, self._on_token)
-        node.register_handler(CMD_OBJ_PRELOAD, self._on_preload)
+        node.register_handler(CMD_OBJ_PRELOAD, self._on_push)  # an instance push nothing maps yet
+        for cmd_type in self.collectives:
+            node.register_handler(cmd_type, self._on_collective)
         node.peer_disconnected_callbacks.append(self._on_peer_lost)
 
     # --- serialization helpers ----------------------------------------------
@@ -145,10 +161,8 @@ class ObjectManager:
         stream = InputStream(iter_frames(blob))
         if kind == KIND_INSTANCE:
             obj.deserialize_instance(stream)
-        elif isinstance(obj, Serializable):
-            obj.apply_masked(stream, mask)
         else:
-            obj.deserialize_delta(stream)
+            obj.apply_delta(stream, mask)
 
     # --- registration (master side) ------------------------------------------
 
@@ -170,13 +184,7 @@ class ObjectManager:
     def _preload(self, object_id: uuid.UUID, obj: DistributedObject) -> None:
         blob = self._serialize(obj.serialize_instance, self.engine)
         payload = _PUSH_HEAD.pack(object_id.bytes, obj.version, KIND_INSTANCE, 0) + blob
-        if self.hub is not None and self.hub.covers(self._peer_ids()):
-            self.hub.broadcast(self.node.node_id, CMD_OBJ_PRELOAD, payload)
-            self.counters["preloads_sent"] += 1
-        else:
-            for peer in self.node.peers:
-                peer.send_command(CMD_OBJ_PRELOAD, payload)
-                self.counters["preloads_sent"] += 1
+        self.counters["preloads_sent"] += sum(self._send(CMD_OBJ_PRELOAD, payload, self.node.peers))
 
     def _peer_ids(self) -> set:
         return {p.node_id for p in self.node.peers}
@@ -231,8 +239,7 @@ class ObjectManager:
         obj.is_master = False
         obj._manager = self
         self._apply(obj, blob, KIND_INSTANCE, 0)
-        if isinstance(obj, Serializable):
-            obj.clear_dirty()
+        obj.clear_dirty()
         with self._lock:
             entry.change_type = obj.change_type
             entry.version = mapped_version
@@ -271,7 +278,7 @@ class ObjectManager:
 
             entry.version += 1
             version = entry.version
-            mask = obj.dirty_mask if isinstance(obj, Serializable) else 0
+            mask = obj.dirty_mask
 
             instance = self._serialize(obj.serialize_instance, self.engine)
             if entry.change_type is ChangeType.DELTA:
@@ -286,8 +293,7 @@ class ObjectManager:
                 while len(entry.history) > self.history_depth:
                     entry.history.popitem(last=False)
 
-            if isinstance(obj, Serializable):
-                obj.clear_dirty()
+            obj.clear_dirty()
             obj.version = version
             self.counters["commits"] += 1
 
@@ -318,14 +324,22 @@ class ObjectManager:
         if not slaves:
             return
         self.counters["bytes_pushed"] += len(payload)
-        if self.hub is not None and len(slaves) >= 2 and self.hub.covers(set(slaves)):
-            self.hub.broadcast(self.node.node_id, CMD_OBJ_PUSH, payload)
-            self.counters["multicast_pushes"] += 1
-            return
-        for peer in slaves.values():
+        broadcasts, unicasts = self._send(CMD_OBJ_PUSH, payload, list(slaves.values()))
+        self.counters["multicast_pushes"] += broadcasts
+        self.counters["unicast_pushes"] += unicasts
+
+    def _send(self, cmd_type: int, payload: bytes, targets: list[RemoteNode]) -> tuple[int, int]:
+        """Broadcast by hub if it is joined and covers at least two targets,
+        else unicast to every live target; returns (broadcasts, unicasts)."""
+        if self.hub is not None and len(targets) >= 2 and self.hub.covers({p.node_id for p in targets}):
+            self.hub.broadcast(self.node.node_id, cmd_type, payload)
+            return 1, 0
+        unicasts = 0
+        for peer in targets:
             if peer.alive:
-                peer.send_command(CMD_OBJ_PUSH, payload)
-                self.counters["unicast_pushes"] += 1
+                peer.send_command(cmd_type, payload)
+                unicasts += 1
+        return 0, unicasts
 
     def sync(self, obj: DistributedObject, target: int = VERSION_HEAD, timeout: float = 30.0) -> int:
         with self._cond:
@@ -386,7 +400,9 @@ class ObjectManager:
     def _on_locate(self, cmd: Command) -> None:
         object_id = uuid.UUID(bytes=cmd.payload)
         with self._lock:
-            found = object_id in self._masters or object_id in self.collectives
+            found = object_id in self._masters or any(
+                object_id in self.collectives[master] for master in (CMD_BARRIER_ENTER, CMD_QUEUE_POP)
+            )
         cmd.reply(b"\x01" if found else b"\x00")
 
     def _resolve_map_version(self, entry: _MasterEntry, requested: int) -> int:
@@ -452,16 +468,13 @@ class ObjectManager:
                 self._cond.notify_all()  # a commit may be blocked on this slave
 
     def _on_push(self, cmd: Command) -> None:
-        self._handle_push(cmd.payload, via_multicast=False)
-
-    def _handle_push(self, payload: bytes, via_multicast: bool) -> None:
-        raw_id, version, kind, mask = _PUSH_HEAD.unpack_from(payload)
+        raw_id, version, kind, mask = _PUSH_HEAD.unpack_from(cmd.payload)
         object_id = uuid.UUID(bytes=raw_id)
-        blob = memoryview(payload)[_PUSH_HEAD.size :]
+        blob = memoryview(cmd.payload)[_PUSH_HEAD.size :]
         with self._cond:
             entry = self._slaves.get(object_id)
             if entry is None:
-                if via_multicast and kind == KIND_INSTANCE:
+                if kind == KIND_INSTANCE:
                     # snooping: cache instance payloads for unmapped objects
                     self.cache.put(object_id, version, blob)
                 return
@@ -483,12 +496,13 @@ class ObjectManager:
                 entry.synced[cmd.peer.node_id] = max(entry.synced[cmd.peer.node_id], version)
                 self._cond.notify_all()
 
-    def _on_preload(self, cmd: Command) -> None:
-        self._handle_preload(cmd.payload)
-
-    def _handle_preload(self, payload: bytes) -> None:
-        raw_id, version, _, _ = _PUSH_HEAD.unpack_from(payload)
-        self.cache.put(uuid.UUID(bytes=raw_id), version, memoryview(payload)[_PUSH_HEAD.size :])
+    def _on_collective(self, cmd: Command) -> None:
+        collective_id = uuid.UUID(bytes=cmd.payload[:16])
+        target = self.collectives[cmd.type].get(collective_id)
+        if target is not None:
+            target._on_command(cmd)
+        elif cmd.request_id:
+            cmd.reply_error(f"unknown collective {collective_id}")
 
     def _on_peer_lost(self, peer: RemoteNode) -> None:
         with self._cond:
@@ -496,34 +510,28 @@ class ObjectManager:
                 entry.slaves.pop(peer.node_id, None)
                 entry.synced.pop(peer.node_id, None)
             self._cond.notify_all()
-
-    # --- multicast hub delivery ---------------------------------------------------
-
-    def on_multicast(self, sender: uuid.UUID, cmd_type: int, payload: bytes) -> None:
-        if sender == self.node.node_id:
-            return
-        if cmd_type == CMD_OBJ_PUSH:
-            self._handle_push(payload, via_multicast=True)
-        elif cmd_type == CMD_OBJ_PRELOAD:
-            self._handle_preload(payload)
+        for table in self.collectives.values():
+            for target in list(table.values()):
+                target._peer_lost(peer)
 
 
 class MulticastHub:
     """In-process multicast channel between object managers.
 
     Stands in for a multicast group at the object layer: one broadcast
-    reaches every joined node.  Delivery is synchronous per sender, so
-    per-object command order is preserved.
+    reaches the dispatch of every joined node but the sender's, as if the
+    sender's connection to it had carried the command.  Delivery is
+    synchronous per sender, so per-object command order is preserved.
     """
 
     def __init__(self):
-        self._members: dict[uuid.UUID, ObjectManager] = {}
+        self._members: dict[uuid.UUID, LocalNode] = {}
         self._lock = threading.Lock()
         self.broadcasts = 0
 
     def join(self, manager: ObjectManager) -> None:
         with self._lock:
-            self._members[manager.node.node_id] = manager
+            self._members[manager.node.node_id] = manager.node
         manager.hub = self
 
     def covers(self, node_ids: set) -> bool:
@@ -532,7 +540,7 @@ class MulticastHub:
 
     def broadcast(self, sender: uuid.UUID, cmd_type: int, payload: bytes) -> None:
         with self._lock:
-            members = list(self._members.values())
+            members = [node for node_id, node in self._members.items() if node_id != sender]
             self.broadcasts += 1
-        for manager in members:
-            manager.on_multicast(sender, cmd_type, payload)
+        for node in members:
+            node.dispatch(node.peer(sender), cmd_type, 0, payload)

@@ -75,6 +75,6 @@ class Serializable(DistributedObject):
         self._validate(self._dirty)
         self.serialize(stream, self._dirty)
 
-    def apply_masked(self, stream: InputStream, mask: int) -> None:
+    def apply_delta(self, stream: InputStream, mask: int) -> None:
         self._validate(mask)
         self.deserialize(stream, mask)

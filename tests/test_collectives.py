@@ -15,6 +15,7 @@ from eqsim.objects import (
     QueueConsumer,
     QueueError,
 )
+from eqsim.objects.manager import CMD_OBJ_LOCATE, CMD_OBJ_PUSH
 
 from _cluster import Cluster, Doc
 
@@ -269,7 +270,7 @@ def test_objectmap_slave_selective_mapping():
         assert picked[1].count == 102
 
 
-def test_objectmap_sync_all_timeout_bounds_every_entry(monkeypatch):
+def test_objectmap_sync_all_timeout_bounds_every_entry():
     with Cluster(2) as c:
         m0, m1 = c.managers
         omap = ObjectMap()
@@ -282,17 +283,17 @@ def test_objectmap_sync_all_timeout_bounds_every_entry(monkeypatch):
         for oid in ids:
             slave_map.map_entry(oid, Doc())
         # the first entry's push arrives late, the second's never
-        handle_push = m1._handle_push
+        on_push = m1._on_push
         late = []
 
-        def hold_entries(payload, via_multicast):
-            if bytes(payload[:16]) == ids[0].bytes:
-                late.append(threading.Timer(0.4, handle_push, (payload, via_multicast)))
+        def hold_entries(cmd):
+            if bytes(cmd.payload[:16]) == ids[0].bytes:
+                late.append(threading.Timer(0.4, on_push, (cmd,)))
                 late[-1].start()
-            elif bytes(payload[:16]) != ids[1].bytes:
-                handle_push(payload, via_multicast)
+            elif bytes(cmd.payload[:16]) != ids[1].bytes:
+                on_push(cmd)
 
-        monkeypatch.setattr(m1, "_handle_push", hold_entries)
+        m1.node.register_handler(CMD_OBJ_PUSH, hold_entries)
         for d in docs:
             d.count += 1
             d.set_dirty(Doc.DIRTY_COUNT)
@@ -325,3 +326,17 @@ def test_objectmap_type_tags_travel():
         slave_map = ObjectMap()
         m1.map_object(slave_map, omap.object_id, VERSION_HEAD)
         assert slave_map.entries[oid][1] == 42
+
+
+def test_queue_consumer_does_not_answer_a_locate_for_its_queue():
+    with Cluster(3) as c:
+        m0, m1, _ = c.managers
+        queue = DistributedQueue(m0)
+        consumer = QueueConsumer(m1, queue.queue_id)
+        queue.push(b"item")
+        assert consumer.pop(timeout=5) == b"item"
+        to_m1 = m0.node.peer(c.nodes[1].node_id)
+        assert to_m1.request(CMD_OBJ_LOCATE, queue.queue_id.bytes, timeout=5) == b"\x00"
+        with pytest.raises(ObjectError, match="no reachable master"):
+            m0.locate_master(queue.queue_id, timeout=5)
+        assert m1.locate_master(queue.queue_id, timeout=5).node_id == c.nodes[0].node_id

@@ -202,6 +202,14 @@ def test_unterminated_string_fails_at_its_quote():
     assert (err.value.line, err.value.col) == (2, 20)
 
 
+@pytest.mark.parametrize("number, col", [("1e999", 40), ("[ 1 -2.5e400 ]", 44)])
+def test_number_too_large_for_a_float_fails_at_the_number(number, col):
+    # read as inf, it would print as inf and re-parse as the string "inf"
+    with pytest.raises(ConfigParseError, match="too large") as err:
+        parse_config(f'compound {{\n  channel "c" load_equalizer {{ damping {number} }}\n}}')
+    assert (err.value.line, err.value.col) == (2, col)
+
+
 def test_param_with_spaces_prints_and_reparses():
     cfg = parse_config('compound { channel "c" load_equalizer { mode "two words" } }')
     reparsed = parse_config(pretty_print(cfg))

@@ -372,6 +372,40 @@ def test_unknown_command_counted_not_fatal():
     b.close()
 
 
+def test_unknown_commands_from_concurrent_peers_all_counted():
+    # every receive thread bumps the one counter: 4 peers, N each, 4N counted
+    n = 500
+    hub = LocalNode("hub")
+    desc = pipe_desc()
+    hub.listen(desc)
+    senders = [LocalNode(f"s{i}") for i in range(4)]
+    peers = [node.connect_to(desc) for node in senders]
+    errors = []
+
+    def send(peer):
+        for _ in range(n - 1):
+            peer.send_command(999)
+        try:
+            peer.request(999, timeout=10)  # answered after the n - 1 before it
+        except RemoteError as exc:
+            errors.append(str(exc))
+
+    threads = [threading.Thread(target=send, args=(peer,)) for peer in peers]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == ["unknown command"] * 4
+    assert hub.unknown_commands == 4 * n
+    for node in senders + [hub]:
+        node.close()
+
+
 def test_request_reply_and_remote_error():
     a, b, peer = make_node_pair()
 

@@ -6,6 +6,7 @@ import uuid
 import numpy as np
 import pytest
 
+from eqsim.codec.streams import InputStream, OutputStream
 from eqsim.net import LOCAL_PIPE, ConnectionDescription, LocalNode
 from eqsim.objects import (
     VERSION_HEAD,
@@ -13,6 +14,7 @@ from eqsim.objects import (
     VERSION_OLDEST,
     ChangeType,
     DirtyMaskError,
+    DistributedObject,
     MulticastHub,
     NotMasterError,
     ObjectError,
@@ -195,8 +197,8 @@ def test_sync_waits_for_push_overtaken_by_later_one(pair, monkeypatch):
     held = []
     monkeypatch.setattr(m0, "_push", lambda payload, slaves: held.append(payload))
     snapshots = commit_n(m0, master, 2)
-    m1._handle_push(held[1], via_multicast=False)  # version 2 arrives first
-    late = threading.Timer(0.2, m1._handle_push, (held[0], False))
+    m1.node.dispatch(None, CMD_OBJ_PUSH, 0, held[1])  # version 2 arrives first
+    late = threading.Timer(0.2, m1.node.dispatch, (None, CMD_OBJ_PUSH, 0, held[0]))
     late.start()
     assert m1.sync(slave, 1, timeout=5) == 1
     assert m1.instance_data(slave) == snapshots[1]
@@ -216,10 +218,10 @@ def test_sync_ignores_repeated_and_stale_pushes(pair, monkeypatch):
     monkeypatch.setattr(m0, "_push", lambda payload, slaves: held.append(payload))
     snapshots = commit_n(m0, master, 3)
     for payload in (held[0], held[0], held[1]):
-        m1._handle_push(payload, via_multicast=False)
+        m1.node.dispatch(None, CMD_OBJ_PUSH, 0, payload)
     assert m1.sync(slave, 2, timeout=5) == 2
     for payload in (held[1], held[2]):
-        m1._handle_push(payload, via_multicast=False)
+        m1.node.dispatch(None, CMD_OBJ_PUSH, 0, payload)
     assert m1.sync(slave, VERSION_HEAD, timeout=5) == 3
     assert m1.instance_data(slave) == snapshots[3]
 
@@ -638,6 +640,60 @@ def test_multicast_snooping_fills_cache(engine):
         assert late.state() == master.state()
 
 
+@pytest.mark.parametrize("carrier", ["hub", "unicast"])
+def test_instance_push_for_unmapped_object_is_cached_however_it_arrives(carrier, monkeypatch):
+    hub = MulticastHub()
+    with Cluster(3) as c:
+        for m in c.managers:
+            hub.join(m)
+        m0, _, m2 = c.managers
+        master = Doc(count=4)
+        oid = m0.register_object(master, ChangeType.INSTANCE)
+        held = []
+        monkeypatch.setattr(m0, "_push", lambda payload, slaves: held.append(payload))
+        master.set_dirty(Doc.DIRTY_COUNT)
+        v = m0.commit(master)
+        if carrier == "hub":
+            hub.broadcast(m0.node.node_id, CMD_OBJ_PUSH, held[0])
+        else:
+            m0.node.peer(m2.node.node_id).send_command(CMD_OBJ_PUSH, held[0])
+        deadline = time.monotonic() + 5
+        while not m2.cache.versions(oid) and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert m2.cache.versions(oid) == [v]
+        late = Doc()
+        assert m2.map_object(late, oid, VERSION_HEAD) == v
+        assert m2.counters["instance_payloads_received"] == 0
+        assert late.state() == master.state()
+
+
+def test_hub_command_never_reaches_the_senders_handlers():
+    hub = MulticastHub()
+    with Cluster(3) as c:
+        for m in c.managers:
+            hub.join(m)
+        seen = []
+        for node in c.nodes:
+            node.register_handler(0x7F00, lambda cmd: seen.append((cmd.node, cmd.peer)))
+        hub.broadcast(c.nodes[0].node_id, 0x7F00, b"hello")
+        assert sorted(n.name for n, _ in seen) == ["n1", "n2"]
+        # each receiver sees the command as coming from its peer for the sender
+        assert all(peer.node_id == c.nodes[0].node_id for _, peer in seen)
+
+        # a multicast commit of instance data is not snooped by its master
+        m0, m1, m2 = c.managers
+        master = Doc(count=1)
+        oid = m0.register_object(master, ChangeType.INSTANCE)
+        s1, s2 = Doc(), Doc()
+        m1.map_object(s1, oid)
+        m2.map_object(s2, oid)
+        master.set_dirty(Doc.DIRTY_COUNT)
+        v = m0.commit(master)
+        assert m0.counters["multicast_pushes"] == 1
+        assert m1.sync(s1, v, timeout=5) == v and m2.sync(s2, v, timeout=5) == v
+        assert len(m0.cache) == 0
+
+
 def test_preload_populates_caches(engine):
     with Cluster(4, preload=True, engine=engine) as c:
         master = Doc(count=9, blob=b"preloaded")
@@ -681,6 +737,46 @@ def test_cache_transparency(engine):
             return slave.state()
 
     assert final_state(True) == final_state(False)
+
+
+class Plain(DistributedObject):
+    """Full state on every commit, no dirty bits: the DistributedObject defaults."""
+
+    def __init__(self, data=b""):
+        super().__init__()
+        self.data = data
+
+    def serialize_instance(self, stream: OutputStream) -> None:
+        stream.write_u32(len(self.data))
+        stream.write(self.data)
+
+    def deserialize_instance(self, stream: InputStream) -> None:
+        self.data = stream.read(stream.read_u32())
+
+
+@versioned_types
+def test_plain_distributed_object_replicates_byte_equal(change_type):
+    with Cluster(3) as c:
+        m0, m1, m2 = c.managers
+        master = Plain(b"v0")
+        oid = m0.register_object(master, change_type)
+        snapshots = {}
+        for v in range(1, 4):
+            master.data = bytes([v]) * (100 * v)
+            assert m0.commit(master) == v
+            snapshots[v] = m0.instance_data(master)
+        old, head = Plain(), Plain()
+        assert m1.map_object(old, oid, 1) == 1
+        assert m1.instance_data(old) == snapshots[1]
+        assert m2.map_object(head, oid, VERSION_HEAD) == 3
+        master.data = b"four"
+        assert m0.commit(master) == 4
+        snapshots[4] = m0.instance_data(master)
+        assert m1.sync(old, 2, timeout=5) == 2
+        assert m1.instance_data(old) == snapshots[2]
+        for mgr, slave in ((m1, old), (m2, head)):
+            assert mgr.sync(slave, 4, timeout=5) == 4
+            assert mgr.instance_data(slave) == snapshots[4]
 
 
 def test_randomized_replication_byte_equal(engine):
