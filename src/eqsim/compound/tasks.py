@@ -30,20 +30,10 @@ def generate_tasks(
     frame: int,
     resolution: tuple[int, int] = (1280, 720),
     overrides: Optional[dict[int, Override]] = None,
-    latency: Optional[int] = None,
 ) -> list[RenderTask]:
     overrides = overrides or {}
     width, height = resolution
     tasks: list[RenderTask] = []
-
-    if latency is not None:
-        for node in compound.walk():
-            periods = {c.phase_period.period for c in node.children if c.phase_period.period > 1}
-            for period in periods:
-                if latency < period:
-                    raise ConfigError(
-                        f"frame-multiplex period {period} requires latency >= {period}, have {latency}"
-                    )
 
     def walk(node: Compound, vp: Viewport, rng: Range, px: PixelParam, sp: SubpixelParam) -> None:
         if not node.phase_period.active(frame):

@@ -1,8 +1,9 @@
 """Client-side instance data cache.
 
-Keyed by (object id, version); filled by preloading at registration time
-and by snooping on multicast commit traffic.  Mapping consults the cache
-first, turning a warm map into a metadata-only exchange.
+Keyed by (object id, version); filled by the instance pushes a node
+receives for objects it has not mapped: preloads at registration time and
+snooped multicast commits.  Mapping consults the cache first, turning a
+warm map into a metadata-only exchange.
 """
 
 from __future__ import annotations
@@ -18,25 +19,19 @@ class InstanceCache:
         self._entries: OrderedDict[tuple[uuid.UUID, int], bytes] = OrderedDict()
         self._size = 0
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, object_id: uuid.UUID, version: int) -> bytes | None:
+    def entries(self, object_id: uuid.UUID) -> dict[int, bytes]:
+        """The cached instances of `object_id`, by version in ascending order:
+        one snapshot, which later evictions do not change."""
         with self._lock:
-            data = self._entries.get((object_id, version))
-            if data is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end((object_id, version))
-            self.hits += 1
-            return data
+            versions = sorted(v for oid, v in self._entries if oid == object_id)
+            return {v: self._entries[object_id, v] for v in versions}
 
     def versions(self, object_id: uuid.UUID) -> list[int]:
-        with self._lock:
-            return sorted(v for (oid, v) in self._entries if oid == object_id)
+        return list(self.entries(object_id))
 
     def put(self, object_id: uuid.UUID, version: int, data: bytes) -> None:
         if len(data) > self.capacity:

@@ -15,18 +15,23 @@ commit push, a map's catch-up pushes and a preload go by one hub
 broadcast when the hub is joined, there are at least two targets and the
 hub covers them all; otherwise by one unicast per target.  A node caches
 an instance push for an object it has not mapped (snooping) however it
-arrived, and a preload is such a push.  The barriers, queues and queue
+arrived, and a preload is such a push: the version-0 instance push, sent
+to every peer when the object is registered.  The barriers, queues and queue
 consumers of `collectives` are entered in the manager's collective
 tables, which dispatch their commands by the id at the head of the
 payload; only masters answer a locate.
 
 Instance and delta payloads are chunked byte streams (optionally
-compressed per chunk) produced by the codec layer's output streams.  A
-commit serializes the instance once, in this wire form; the history of
-buffered objects keeps that payload per version, and it serves the push,
-the map reply and the catch-up pushes to a slave mapped behind head.
-A slave keeps each payload it receives as a view of the command that
-carried it, so the stream's reads are its only copy.
+compressed per chunk) produced by the codec layer's output streams, and a
+push is its header followed by such a stream, written behind the header
+in one join.  A commit serializes the instance once; the history of a
+buffered object keeps, per version, the instance push that carries it.
+An INSTANCE commit sends that stored push itself, the catch-up pushes to
+a slave mapped behind head resend stored pushes unchanged, and the map
+reply carries the instance sliced out of one.  The master keeps one
+record per slave: its peer and the last version it synced.  A slave
+keeps each payload it receives as a view of the command that carried it,
+so the stream's reads are its only copy.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from operator import itemgetter
 from typing import Optional
 
 from ..codec.engines import CompressionEngine
-from ..codec.streams import DEFAULT_CHUNK_SIZE, InputStream, OutputStream, iter_frames
+from ..codec.streams import InputStream, OutputStream, iter_frames
 from ..net.connection import TransportError
 from ..net.node import Command, LocalNode, RemoteError, RemoteNode
 from .base import (
@@ -64,7 +69,6 @@ CMD_OBJ_MAP = 0x21
 CMD_OBJ_UNMAP = 0x22
 CMD_OBJ_PUSH = 0x23
 CMD_OBJ_TOKEN = 0x24
-CMD_OBJ_PRELOAD = 0x25
 CMD_BARRIER_ENTER = 0x30
 CMD_QUEUE_POP = 0x31
 CMD_QUEUE_ITEM = 0x32
@@ -73,7 +77,14 @@ KIND_INSTANCE = 0
 KIND_DELTA = 1
 
 _MAP_REQ = struct.Struct("<16sq H")  # id, requested version, n cached versions
+_MAP_REPLY = struct.Struct("<QBBB")  # version, change type, 0, instance from the cache
 _PUSH_HEAD = struct.Struct("<16sQBQ")  # id, version, kind, dirty mask
+
+
+@dataclass
+class _Slave:
+    peer: RemoteNode
+    synced: int  # the last version the slave synced, or the one it mapped
 
 
 @dataclass
@@ -81,15 +92,13 @@ class _MasterEntry:
     obj: DistributedObject
     change_type: ChangeType
     version: int = VERSION_NONE
-    history: OrderedDict = field(default_factory=OrderedDict)  # version -> wire-form instance
-    slaves: dict = field(default_factory=dict)                 # node uuid -> RemoteNode
-    synced: dict = field(default_factory=dict)                 # node uuid -> version
+    history: OrderedDict = field(default_factory=OrderedDict)  # version -> instance push
+    slaves: dict = field(default_factory=dict)                 # node uuid -> _Slave
 
 
 @dataclass
 class _SlaveEntry:
     obj: DistributedObject
-    change_type: ChangeType
     master: RemoteNode
     version: int = VERSION_NONE
     queue: deque = field(default_factory=deque)  # (version, kind, mask, blob), by version
@@ -101,13 +110,11 @@ class ObjectManager:
     def __init__(
         self,
         node: LocalNode,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         engine: Optional[CompressionEngine] = None,
         preload: bool = False,
         history_depth: int = 60,
     ):
         self.node = node
-        self.chunk_size = chunk_size
         self.engine = engine
         self.preload = preload
         self.history_depth = history_depth
@@ -139,19 +146,23 @@ class ObjectManager:
         node.register_handler(CMD_OBJ_UNMAP, self._on_unmap)
         node.register_handler(CMD_OBJ_PUSH, self._on_push)
         node.register_handler(CMD_OBJ_TOKEN, self._on_token)
-        node.register_handler(CMD_OBJ_PRELOAD, self._on_push)  # an instance push nothing maps yet
         for cmd_type in self.collectives:
             node.register_handler(cmd_type, self._on_collective)
         node.peer_disconnected_callbacks.append(self._on_peer_lost)
 
     # --- serialization helpers ----------------------------------------------
 
-    def _serialize(self, write, engine: Optional[CompressionEngine]) -> bytes:
-        parts: list[bytes] = []
-        out = OutputStream(parts.append, chunk_size=self.chunk_size, engine=engine)
+    def _serialize(self, write, engine: Optional[CompressionEngine], head: bytes = b"") -> bytes:
+        """`head` followed by the stream that `write` produces, in one join."""
+        parts = [head]
+        out = OutputStream(parts.append, engine=engine)
         write(out)
         out.flush()
         return b"".join(parts)
+
+    def _push_form(self, obj: DistributedObject, version: int, kind: int, mask: int, write) -> bytes:
+        """The push of `obj`'s `version` that carries the stream `write` produces."""
+        return self._serialize(write, self.engine, _PUSH_HEAD.pack(obj.object_id.bytes, version, kind, mask))
 
     def instance_data(self, obj: DistributedObject) -> bytes:
         """Uncompressed serialized full state: the snapshot oracle."""
@@ -178,13 +189,9 @@ class ObjectManager:
             obj._manager = self
             self._masters[object_id] = _MasterEntry(obj, change_type)
         if self.preload:
-            self._preload(object_id, obj)
+            push = self._push_form(obj, VERSION_NONE, KIND_INSTANCE, 0, obj.serialize_instance)
+            self.counters["preloads_sent"] += sum(self._send(CMD_OBJ_PUSH, push, self.node.peers))
         return object_id
-
-    def _preload(self, object_id: uuid.UUID, obj: DistributedObject) -> None:
-        blob = self._serialize(obj.serialize_instance, self.engine)
-        payload = _PUSH_HEAD.pack(object_id.bytes, obj.version, KIND_INSTANCE, 0) + blob
-        self.counters["preloads_sent"] += sum(self._send(CMD_OBJ_PRELOAD, payload, self.node.peers))
 
     def _peer_ids(self) -> set:
         return {p.node_id for p in self.node.peers}
@@ -208,13 +215,17 @@ class ObjectManager:
 
         # register the slave entry before asking, so a commit push racing the
         # map reply is queued instead of dropped
-        entry = _SlaveEntry(obj, ChangeType.STATIC, master, VERSION_NONE)
+        entry = _SlaveEntry(obj, master)
         with self._lock:
+            if object_id in self._slaves:
+                raise ObjectError("object already mapped on this node")
             self._slaves[object_id] = entry
 
-        cached_versions = self.cache.versions(object_id)
-        req = _MAP_REQ.pack(object_id.bytes, version, len(cached_versions))
-        req += b"".join(struct.pack("<Q", v) for v in cached_versions)
+        # the cached instances are taken with their versions, so that an
+        # eviction while the master answers cannot lose the one it confirms
+        cached = self.cache.entries(object_id)
+        req = _MAP_REQ.pack(object_id.bytes, version, len(cached))
+        req += b"".join(struct.pack("<Q", v) for v in cached)
         try:
             reply = master.request(CMD_OBJ_MAP, req, timeout=deadline - time.monotonic())
         except (RemoteError, TimeoutError, TransportError) as exc:
@@ -224,13 +235,11 @@ class ObjectManager:
                 raise VersionError(str(exc)) from exc
             raise
 
-        mapped_version, change_type, _, used_cache = struct.unpack_from("<QBBB", reply)
-        blob = memoryview(reply)[11:]
+        mapped_version, change_type, _, used_cache = _MAP_REPLY.unpack_from(reply)
         if used_cache:
-            blob = self.cache.get(object_id, mapped_version)
-            if blob is None:
-                raise ObjectError("master confirmed cached version but cache lost it")
+            blob = cached[mapped_version]
         else:
+            blob = memoryview(reply)[_MAP_REPLY.size :]
             self.counters["instance_payloads_received"] += 1
 
         obj.object_id = object_id
@@ -241,7 +250,6 @@ class ObjectManager:
         self._apply(obj, blob, KIND_INSTANCE, 0)
         obj.clear_dirty()
         with self._lock:
-            entry.change_type = obj.change_type
             entry.version = mapped_version
             # drop what the mapped instance contains
             entry.queue = deque(p for p in entry.queue if p[0] > mapped_version)
@@ -278,15 +286,12 @@ class ObjectManager:
 
             entry.version += 1
             version = entry.version
-            mask = obj.dirty_mask
 
-            instance = self._serialize(obj.serialize_instance, self.engine)
+            instance = self._push_form(obj, version, KIND_INSTANCE, 0, obj.serialize_instance)
             if entry.change_type is ChangeType.DELTA:
-                kind = KIND_DELTA
-                payload_blob = self._serialize(obj.serialize_delta, self.engine)
+                push = self._push_form(obj, version, KIND_DELTA, obj.dirty_mask, obj.serialize_delta)
             else:
-                kind = KIND_INSTANCE
-                payload_blob = instance
+                push = instance
 
             if entry.change_type.buffered:
                 entry.history[version] = instance
@@ -296,10 +301,8 @@ class ObjectManager:
             obj.clear_dirty()
             obj.version = version
             self.counters["commits"] += 1
-
-            push = _PUSH_HEAD.pack(obj.object_id.bytes, version, kind, mask) + payload_blob
-            slaves = dict(entry.slaves)
-        self._push(push, slaves)
+            peers = [slave.peer for slave in entry.slaves.values()]
+        self._push(push, peers)
         return version
 
     def _wait_for_tokens(self, entry: _MasterEntry, max_queued: int, timeout: Optional[float]) -> None:
@@ -307,8 +310,8 @@ class ObjectManager:
         def blocked_slaves():
             return [
                 node_id
-                for node_id, synced in entry.synced.items()
-                if entry.version + 1 - synced > max_queued
+                for node_id, slave in entry.slaves.items()
+                if entry.version + 1 - slave.synced > max_queued
             ]
 
         def gone_slaves():
@@ -320,11 +323,11 @@ class ObjectManager:
         if gone:
             raise SlaveDisconnectedError(f"slaves disconnected while blocking commit: {gone}")
 
-    def _push(self, payload: bytes, slaves: dict) -> None:
-        if not slaves:
+    def _push(self, payload: bytes, peers: list[RemoteNode]) -> None:
+        if not peers:
             return
         self.counters["bytes_pushed"] += len(payload)
-        broadcasts, unicasts = self._send(CMD_OBJ_PUSH, payload, list(slaves.values()))
+        broadcasts, unicasts = self._send(CMD_OBJ_PUSH, payload, peers)
         self.counters["multicast_pushes"] += broadcasts
         self.counters["unicast_pushes"] += unicasts
 
@@ -436,26 +439,22 @@ class ObjectManager:
             except VersionError as exc:
                 cmd.reply_error(str(exc))
                 return
-            entry.slaves[cmd.peer.node_id] = cmd.peer
-            entry.synced[cmd.peer.node_id] = version
-            catch_ups = [
-                _PUSH_HEAD.pack(raw_id, newer, KIND_INSTANCE, 0) + blob
-                for newer, blob in entry.history.items()
-                if newer > version
-            ]
-            if version in cached:
-                reply = struct.pack("<QBBB", version, entry.change_type, 0, 1)
-            else:
-                blob = entry.history.get(version)
-                if blob is None:  # static, unbuffered or never committed
-                    blob = self._serialize(entry.obj.serialize_instance, self.engine)
+            entry.slaves[cmd.peer.node_id] = _Slave(cmd.peer, version)
+            catch_ups = [push for newer, push in entry.history.items() if newer > version]
+            from_cache = version in cached
+            reply = _MAP_REPLY.pack(version, entry.change_type, 0, from_cache)
+            if not from_cache:
+                push = entry.history.get(version)
+                if push is None:  # static, unbuffered or never committed
+                    reply = self._serialize(entry.obj.serialize_instance, self.engine, reply)
+                else:
+                    reply += memoryview(push)[_PUSH_HEAD.size :]
                 self.counters["instance_payloads_sent"] += 1
-                reply = struct.pack("<QBBB", version, entry.change_type, 0, 0) + blob
         # versions (mapped, head] go out before the reply, so that the slave
         # can sync past them; a later commit's push may overtake them, and the
         # slave's queue puts it back in order
         for push in catch_ups:
-            self._push(push, {cmd.peer.node_id: cmd.peer})
+            self._push(push, [cmd.peer])
         cmd.reply(reply)
 
     def _on_unmap(self, cmd: Command) -> None:
@@ -464,7 +463,6 @@ class ObjectManager:
             entry = self._masters.get(object_id)
             if entry is not None:
                 entry.slaves.pop(cmd.peer.node_id, None)
-                entry.synced.pop(cmd.peer.node_id, None)
                 self._cond.notify_all()  # a commit may be blocked on this slave
 
     def _on_push(self, cmd: Command) -> None:
@@ -492,8 +490,9 @@ class ObjectManager:
         (version,) = struct.unpack_from("<Q", cmd.payload, 16)
         with self._cond:
             entry = self._masters.get(object_id)
-            if entry is not None and cmd.peer.node_id in entry.synced:
-                entry.synced[cmd.peer.node_id] = max(entry.synced[cmd.peer.node_id], version)
+            slave = entry.slaves.get(cmd.peer.node_id) if entry is not None else None
+            if slave is not None:
+                slave.synced = max(slave.synced, version)
                 self._cond.notify_all()
 
     def _on_collective(self, cmd: Command) -> None:
@@ -508,7 +507,6 @@ class ObjectManager:
         with self._cond:
             for entry in self._masters.values():
                 entry.slaves.pop(peer.node_id, None)
-                entry.synced.pop(peer.node_id, None)
             self._cond.notify_all()
         for table in self.collectives.values():
             for target in list(table.values()):

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import uuid
 
 from eqsim.codec.streams import InputStream, OutputStream
 from eqsim.net import LOCAL_PIPE, ConnectionDescription, LocalNode
@@ -34,6 +35,41 @@ class Cluster:
 
     def __exit__(self, *exc):
         self.close()
+
+
+class _Recording:
+    """A connection that keeps a copy of every byte sent through it."""
+
+    def __init__(self, connection):
+        self._connection = connection
+        self.sent = bytearray()
+
+    def send(self, data) -> None:
+        self.sent += data
+        self._connection.send(data)
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+
+def record_links(cluster: Cluster) -> dict:
+    """Wrap every peer connection of `cluster`, whose handshakes are done,
+    so that it keeps the bytes it sends from now on; returns those bytes
+    by link, keyed (sender name, receiver name)."""
+    names = {node.node_id: node.name for node in cluster.nodes}
+    links = {}
+    for node in cluster.nodes:
+        for peer in node.peers:
+            peer.connection = _Recording(peer.connection)
+            links[node.name, names[peer.node_id]] = peer.connection.sent
+    return links
+
+
+def count_uuids(monkeypatch) -> None:
+    """Make `uuid.uuid4` return UUID(int=1), UUID(int=2), ... so that node
+    and object ids, and the wire bytes that carry them, repeat run to run."""
+    counter = itertools.count(1)
+    monkeypatch.setattr(uuid, "uuid4", lambda: uuid.UUID(int=next(counter)))
 
 
 class Doc(Serializable):

@@ -1,4 +1,5 @@
 import contextlib
+import sys
 import threading
 import time
 import uuid
@@ -15,13 +16,14 @@ from eqsim.objects import (
     ChangeType,
     DirtyMaskError,
     DistributedObject,
+    InstanceCache,
     MulticastHub,
     NotMasterError,
     ObjectError,
     ObjectManager,
     VersionError,
 )
-from eqsim.objects.manager import CMD_OBJ_LOCATE, CMD_OBJ_PUSH
+from eqsim.objects.manager import CMD_OBJ_LOCATE, CMD_OBJ_MAP, CMD_OBJ_PUSH
 
 from _cluster import Cluster, Doc
 
@@ -430,10 +432,54 @@ def test_history_depth_limits_mappable_versions(engine):
         with pytest.raises(VersionError, match="not retained"):
             m1.map_object(slave, oid, 3)
         assert m1.map_object(slave, oid, 7) == 7
+        m1.unmap_object(slave)  # one instance per object and node
         fresh = Doc()
         with pytest.raises(ObjectError):
             m1.map_object(fresh, oid, 3)
         assert m1.map_object(Doc(), oid, VERSION_OLDEST) == 6
+
+
+def test_second_map_of_an_object_on_one_node_raises(pair):
+    m0, m1 = pair.managers
+    master = Doc(count=1)
+    oid = m0.register_object(master, ChangeType.INSTANCE)
+    first, second = Doc(), Doc()
+    assert m1.map_object(first, oid) == VERSION_NONE
+    with pytest.raises(ObjectError, match="already mapped"):
+        m1.map_object(second, oid)
+    assert second.object_id is None
+    master.count = 2
+    master.set_dirty(Doc.DIRTY_COUNT)
+    assert m0.commit(master) == 1
+    assert m1.sync(first, 1, timeout=5) == 1
+    assert first.count == 2
+
+
+def test_concurrent_maps_of_an_object_on_one_node_map_one_instance(pair):
+    m0, m1 = pair.managers
+    oid = m0.register_object(Doc(count=1), ChangeType.DELTA)
+    start = threading.Barrier(4)
+    mapped, refused = [], []
+
+    def map_one():
+        start.wait()
+        try:
+            mapped.append(m1.map_object(Doc(), oid, timeout=5))
+        except ObjectError:
+            refused.append(True)
+
+    threads = [threading.Thread(target=map_one) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mapped == [VERSION_NONE] and len(refused) == 3
 
 
 def test_unbuffered_serves_only_current_version(pair):
@@ -445,6 +491,7 @@ def test_unbuffered_serves_only_current_version(pair):
         m1.map_object(Doc(), oid, 1)
     slave = Doc()
     assert m1.map_object(slave, oid, VERSION_HEAD) == 3
+    m1.unmap_object(slave)  # one instance per object and node
     assert m1.map_object(Doc(), oid, VERSION_OLDEST) == 3
 
 
@@ -720,6 +767,31 @@ def test_warm_cache_map_needs_no_instance_payload(engine):
         assert slave.state() == master.state()
 
 
+def test_map_from_the_cache_survives_an_eviction_while_the_master_answers():
+    with Cluster(2, preload=True) as c:
+        m0, m1 = c.managers
+        m1.cache = InstanceCache(capacity_bytes=1024)
+        master = Doc(count=3, blob=b"warm")
+        oid = m0.register_object(master, ChangeType.DELTA)
+        deadline = time.monotonic() + 5
+        while not m1.cache.versions(oid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert m1.cache.versions(oid) == [VERSION_NONE]
+        on_map = m0._on_map
+
+        def evict_then_answer(cmd):
+            # a snooped instance of another object fills the slave's cache
+            m1.cache.put(uuid.uuid4(), 1, bytes(1024))
+            on_map(cmd)
+
+        m0.node.register_handler(CMD_OBJ_MAP, evict_then_answer)
+        slave = Doc()
+        assert m1.map_object(slave, oid, timeout=5) == VERSION_NONE
+        assert m1.cache.versions(oid) == []
+        assert m1.counters["instance_payloads_received"] == 0
+        assert slave.state() == master.state()
+
+
 def test_cache_transparency(engine):
     def final_state(preload):
         with Cluster(2, preload=preload, engine=engine) as c:
@@ -752,6 +824,34 @@ class Plain(DistributedObject):
 
     def deserialize_instance(self, stream: InputStream) -> None:
         self.data = stream.read(stream.read_u32())
+
+
+def test_instance_commit_pushes_its_stored_history_entry(pair, monkeypatch):
+    m0, m1 = pair.managers
+    master = Plain(b"instance" * 100)
+    oid = m0.register_object(master, ChangeType.INSTANCE)
+    m1.map_object(Plain(), oid)
+    held = []
+    monkeypatch.setattr(m0, "_push", lambda payload, peers: held.append(payload))
+    v = m0.commit(master)
+    assert held[0] is m0._masters[oid].history[v]
+
+
+@versioned_types
+def test_late_map_catch_ups_are_the_stored_pushes(pair, monkeypatch, change_type):
+    m0, m1 = pair.managers
+    master = Doc()
+    oid = m0.register_object(master, change_type)
+    snapshots = commit_n(m0, master, 5)
+    sent = []
+    push = m0._push
+    monkeypatch.setattr(m0, "_push", lambda payload, peers: (sent.append(payload), push(payload, peers)))
+    slave = Doc()
+    assert m1.map_object(slave, oid, 2) == 2
+    history = m0._masters[oid].history
+    assert len(sent) == 3 and all(p is history[v] for p, v in zip(sent, (3, 4, 5)))
+    assert m1.sync(slave, 5, timeout=5) == 5
+    assert m1.instance_data(slave) == snapshots[5]
 
 
 @versioned_types

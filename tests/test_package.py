@@ -28,7 +28,7 @@ def test_every_command_number_is_taken_once():
     for info in pkgutil.walk_packages(eqsim.__path__, "eqsim."):
         module = importlib.import_module(info.name)
         constants |= {(name, value) for name, value in vars(module).items() if name.startswith("CMD_")}
-    assert len(constants) >= 11
+    assert len(constants) >= 10
     numbers = {}
     for name, value in sorted(constants):
         assert value not in numbers, f"{name} and {numbers[value]} share {value:#x}"
