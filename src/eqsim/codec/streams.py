@@ -1,9 +1,12 @@
 """Buffered byte streams with chunked emission and per-chunk compression.
 
-OutputStream aggregates writes and hands fixed-size chunks to a sink as
-soon as enough bytes are buffered, so serialization overlaps with
-whatever the sink does (network send, file write).  Chunk framing on the
-wire:
+OutputStream aggregates writes and hands fixed-size chunks to a sink.
+Emission happens per write span: each write hands its run of whole
+chunks to the engine's span entry at once, then gives the sink every
+framed chunk of that run, so serialization overlaps with whatever the
+sink does (network send, file write) from one write to the next.  A
+partial chunk waits in a buffer for the next write or the flush.  Chunk
+framing on the wire:
 
     u32 LE payload length | u8 codec wire id | payload
 
@@ -19,7 +22,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..bytequeue import ByteQueue
-from .engines import WIRE_ID_NONE, CompressionEngine, get_engine_by_wire_id
+from .engines import WIRE_ID_NONE, CompressionEngine, chunkwise, get_engine_by_wire_id
 
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
@@ -39,6 +42,8 @@ class UnderflowError(StreamError):
 
 
 def frame_chunk(payload: bytes, wire_id: int) -> bytes:
+    """One framed chunk.  OutputStream makes the same bytes in the join
+    that builds each chunk (see `CompressionEngine.compress_span`)."""
     return _CHUNK_HEADER.pack(len(payload), wire_id) + payload
 
 
@@ -60,7 +65,8 @@ def iter_frames(blob: bytes) -> Iterator[memoryview]:
 
 def unframe_chunk(chunk: bytes) -> Union[bytes, memoryview]:
     """Strip framing and decompress.  Returns the original payload: a view
-    of `chunk` when it was sent uncompressed, new bytes otherwise."""
+    of `chunk` when it was sent uncompressed, else what the engine's
+    `decompress` returns (bytes or a read-only view)."""
     if len(chunk) < _CHUNK_HEADER.size:
         raise StreamError("short chunk header")
     length, wire_id = _CHUNK_HEADER.unpack_from(chunk)
@@ -87,26 +93,34 @@ class OutputStream:
         self._sink = sink
         self.chunk_size = chunk_size
         self.engine = engine
+        if engine is None:
+            # chunks go as they are: a view is the identity coder
+            self._compress_span = chunkwise(memoryview)
+            wire_id = WIRE_ID_NONE
+        else:
+            self._compress_span = engine.compress_span
+            wire_id = engine.wire_id
+        self._head = lambda length: _CHUNK_HEADER.pack(length, wire_id)
         self._buffer = bytearray()
         self._closed = False
         self._fmt = "<" if endianness == "little" else ">"
         self.bytes_written = 0
 
-    def _emit(self, payload: bytes) -> None:
-        if self.engine is not None:
-            frame = frame_chunk(self.engine.compress(payload), self.engine.wire_id)
-        else:
-            frame = frame_chunk(payload, WIRE_ID_NONE)
+    def _emit(self, span) -> None:
+        """Frame `span`, whole chunks and at most one partial one at its
+        end, and hand the sink each framed chunk."""
+        frames = self._compress_span(span, self.chunk_size, self._head)
         try:
-            self._sink(frame)
+            for frame in frames:
+                self._sink(frame)
         except Exception:
             self._closed = True  # sink failed, stream unusable
             raise
 
     def write(self, data) -> None:
-        """Append any C-contiguous bytes-like object.  Whole chunks go to
-        the engine straight from `data`; only a partial chunk at either end
-        is buffered."""
+        """Append any C-contiguous bytes-like object.  The whole chunks go
+        to the engine in one span straight from `data`; only a partial
+        chunk at either end is buffered."""
         if self._closed:
             raise StreamClosedError("write on closed stream")
         view = memoryview(data).cast("B")
@@ -118,10 +132,10 @@ class OutputStream:
             if len(self._buffer) < self.chunk_size:
                 return
             self._emit_buffer()
-        while len(view) - pos >= self.chunk_size:
-            self._emit(view[pos : pos + self.chunk_size])
-            pos += self.chunk_size
-        self._buffer += view[pos:]
+        end = len(view) - (len(view) - pos) % self.chunk_size
+        if end > pos:
+            self._emit(view[pos:end])
+        self._buffer += view[end:]
 
     def _emit_buffer(self) -> None:
         payload, self._buffer = self._buffer, bytearray()

@@ -1,3 +1,6 @@
+import struct
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,6 +31,43 @@ def test_engines_threadsafe_on_distinct_buffers():
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda b: engine.decompress(engine.compress(b)), buffers))
         assert results == buffers
+
+
+def test_span_entries_threadsafe():
+    # every engine compresses spans in 4 threads at once: results equal to
+    # the single-threaded per-chunk ones mean no engine keeps scratch
+    # buffers between calls
+    chunk = 16 * 1024
+    head = struct.Struct("<I").pack
+    buffers = builtin_corpus("image", buffers=4, size=96 * 1024) + builtin_corpus("sparse", buffers=4, size=96 * 1024)
+    engines = registered_engines()
+    expected = {
+        (engine.name, i): [
+            head(len(c)) + c for c in (engine.compress(buf[j : j + chunk]) for j in range(0, len(buf), chunk))
+        ]
+        for engine in engines
+        for i, buf in enumerate(buffers)
+    }
+    start = threading.Barrier(4)
+
+    def work(t: int) -> dict:
+        start.wait(timeout=30)
+        got = {}
+        for n in range(len(engines) * len(buffers)):
+            engine = engines[(n + t) % len(engines)]
+            i = (n // len(engines) + t) % len(buffers)
+            got[(engine.name, i)] = engine.compress_span(buffers[i], chunk, head)
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [f.result(timeout=120) for f in [pool.submit(work, t) for t in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert got == expected
 
 
 def test_empty_corpus_rejected():

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqsim.codec import MAX_OVERHEAD, RleDecodeError, rle_compress, rle_decompress
+from eqsim.codec import (
+    MAX_OVERHEAD,
+    OutputStream,
+    RleDecodeError,
+    frame_chunk,
+    get_engine,
+    rle_compress,
+    rle_decompress,
+)
 
 
 def test_empty_input_is_empty_output():
@@ -244,3 +252,133 @@ def test_compress_matches_per_word_reference(runs, trim, kind):
 @given(st.binary(max_size=300))
 def test_compress_matches_reference_on_arbitrary_bytes(data):
     assert rle_compress(data) == reference_compress(data)
+
+
+# --- span entry, stream framing and decoder parity ----------------------------
+
+
+def reference_decompress(data) -> bytes:
+    """The decoder as it was before the span encoder, one Python step per
+    block: the decoder must return what it returns, or raise what it raises."""
+    if len(data) == 0:
+        return b""
+    if len(data) < 12:  # one control word + crc at minimum
+        raise RleDecodeError("compressed data shorter than minimal frame", 0)
+
+    body = memoryview(data)[:-4]
+    expected_crc = struct.unpack_from("<I", data, len(body))[0]
+
+    parts = []
+    pos = 0
+    pad = 0
+    end = len(body)
+    while pos < end:
+        if end - pos < 8:
+            raise RleDecodeError("truncated control word", pos)
+        word = struct.unpack_from("<Q", body, pos)[0]
+        kind = word & 3
+        pad = (word >> 2) & 7
+        count = word >> 5
+        pos += 8
+        if count == 0:
+            raise RleDecodeError("zero-length block", pos - 8)
+        if kind == 0:
+            nbytes = count * 8
+            if end - pos < nbytes:
+                raise RleDecodeError("truncated literal block", pos)
+            parts.append(body[pos : pos + nbytes])
+            pos += nbytes
+        elif kind == 1:
+            if end - pos < 8:
+                raise RleDecodeError("truncated run value", pos)
+            parts.append(body[pos : pos + 8].tobytes() * count)
+            pos += 8
+        elif kind == 2:
+            parts.append(b"\x00" * (count * 8))
+        else:
+            raise RleDecodeError("invalid block kind", pos - 8)
+
+    if pad:
+        # the final block carries the pad, and every block spans >= 8 bytes
+        if parts[-1][-pad:] != bytes(pad):
+            raise RleDecodeError("nonzero padding", len(body))
+        parts[-1] = parts[-1][:-pad]
+    result = b"".join(parts)
+    if zlib.crc32(result) != expected_crc:
+        raise RleDecodeError("checksum mismatch", len(body))
+    return result
+
+
+def _expanded_bytes(data) -> int:
+    """Bytes the blocks of `data` expand to, up to the first that does not
+    parse: a damaged count can ask either decoder for exabytes."""
+    body = memoryview(data)[:-4]
+    pos = total = 0
+    while len(body) - pos >= 8:
+        word = struct.unpack_from("<Q", body, pos)[0]
+        kind, count = word & 3, word >> 5
+        pos += 8 + (count * 8 if kind == 0 else 8 if kind == 1 else 0)
+        total += count * 8
+    return total
+
+
+def _outcome(decode, data):
+    try:
+        return bytes(decode(data))
+    except RleDecodeError as err:
+        return (str(err), err.offset)
+
+
+_SPAN_DATA = st.binary(max_size=1200) | st.tuples(
+    st.lists(st.tuples(_WORDS, st.integers(1, 40)), max_size=40), st.integers(0, 7)
+).map(lambda runs_trim: b"".join(w * n for w, n in runs_trim[0])[: -runs_trim[1] or None])
+_CHUNK_SIZES = st.integers(1, 256)
+
+
+def _pieces(data: bytes, chunk_size: int) -> list:
+    return [data[i : i + chunk_size] for i in range(0, len(data), chunk_size)]
+
+
+@given(_SPAN_DATA, _CHUNK_SIZES)
+def test_span_entry_equals_compress_per_piece(data, chunk_size):
+    span = get_engine("rle").compress_span
+    expected = [rle_compress(piece) for piece in _pieces(data, chunk_size)]
+    assert span(data, chunk_size, lambda n: b"") == expected
+    head = struct.Struct("<I").pack
+    assert span(memoryview(data), chunk_size, head) == [head(len(c)) + c for c in expected]
+
+
+@given(_SPAN_DATA, _CHUNK_SIZES, st.lists(st.integers(0, 300), max_size=6))
+def test_stream_frames_equal_framed_compress(data, chunk_size, writes):
+    frames = []
+    out = OutputStream(frames.append, chunk_size=chunk_size, engine=get_engine("rle"))
+    pos = 0
+    for n in writes:  # partial chunks at either end of a write, whole ones between
+        out.write(data[pos : pos + n])
+        pos += n
+    out.write(data[pos:])
+    out.flush()
+    assert frames == [frame_chunk(rle_compress(piece), 1) for piece in _pieces(data, chunk_size)]
+
+
+@given(_SPAN_DATA, _CHUNK_SIZES, st.data())
+def test_decoder_matches_reference_on_damage(data, chunk_size, draw):
+    comp = rle_compress(data[:chunk_size])
+    cut = draw.draw(st.integers(0, len(comp)))
+    flipped = bytearray(comp)
+    if comp:
+        flipped[draw.draw(st.integers(0, len(comp) - 1))] ^= 1 << draw.draw(st.integers(0, 7))
+    for damaged in (comp, comp[:cut], bytes(flipped)):
+        if _expanded_bytes(damaged) <= 1 << 20:
+            assert _outcome(rle_decompress, damaged) == _outcome(reference_decompress, damaged)
+
+
+def test_decompress_views_only_an_immutable_input():
+    data = bytes(range(1, 81))  # no runs: one literal block
+    comp = rle_compress(data)
+    out = rle_decompress(comp)
+    assert out == data and out.readonly and out.obj is comp
+    mutable = bytearray(comp)
+    out = rle_decompress(mutable)
+    mutable[8] ^= 1
+    assert type(out) is bytes and out == data
