@@ -166,11 +166,6 @@ class RspStats:
     dropped_full: int = 0
     unknown_writer: int = 0
 
-    @property
-    def retransmit_ratio(self) -> float:
-        total = self.data_sent + self.retransmitted
-        return self.retransmitted / total if total else 0.0
-
 
 class _ReaderState:
     """Reassembly state for one remote writer's stream."""

@@ -15,10 +15,10 @@ VERSION_HEAD = -1
 
 
 class ChangeType(IntEnum):
-    STATIC = 0      # immutable; never committed, no history
+    STATIC = 0      # immutable; never committed, keeps its registered push
     INSTANCE = 1    # versioned, buffered; commits send full instance data
     DELTA = 2       # versioned, buffered; commits send deltas
-    UNBUFFERED = 3  # versioned, no history; old versions cannot be mapped
+    UNBUFFERED = 3  # versioned; keeps only head, so old versions cannot be mapped
 
     @property
     def versioned(self) -> bool:

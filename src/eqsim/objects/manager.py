@@ -24,14 +24,20 @@ payload; only masters answer a locate.
 Instance and delta payloads are chunked byte streams (optionally
 compressed per chunk) produced by the codec layer's output streams, and a
 push is its header followed by such a stream, written behind the header
-in one join.  A commit serializes the instance once; the history of a
-buffered object keeps, per version, the instance push that carries it.
-An INSTANCE commit sends that stored push itself, the catch-up pushes to
-a slave mapped behind head resend stored pushes unchanged, and the map
-reply carries the instance sliced out of one.  The master keeps one
-record per slave: its peer and the last version it synced.  A slave
-keeps each payload it receives as a view of the command that carried it,
-so the stream's reads are its only copy.
+in one join.  One rule holds the versions together: every version a slave
+can map is stored in the master's history as the instance push that
+carries it.  Registration serializes the version-0 push once (the
+preload sends it); each commit serializes the instance once and stores
+its push, which replaces version 0 and is trimmed to the newest
+`history_depth` versions, or to head alone for UNBUFFERED objects.  An
+INSTANCE commit sends that stored push itself, the catch-up pushes to a
+slave mapped behind head resend stored pushes unchanged, and the map
+reply carries the instance sliced out of one, so a map never serializes
+and never sees edits that were not committed.  The master keeps one
+record per slave: its peer and the last version it synced, which the
+slave's one token per sync reports.  A slave keeps each payload it
+receives as a view of the command that carried it, so the stream's
+reads are its only copy.
 """
 
 from __future__ import annotations
@@ -92,7 +98,7 @@ class _MasterEntry:
     obj: DistributedObject
     change_type: ChangeType
     version: int = VERSION_NONE
-    history: OrderedDict = field(default_factory=OrderedDict)  # version -> instance push
+    history: OrderedDict = field(default_factory=OrderedDict)  # each mappable version -> its push
     slaves: dict = field(default_factory=dict)                 # node uuid -> _Slave
 
 
@@ -114,6 +120,8 @@ class ObjectManager:
         preload: bool = False,
         history_depth: int = 60,
     ):
+        if history_depth < 1:
+            raise ValueError("history_depth must be at least 1: the history holds head")
         self.node = node
         self.engine = engine
         self.preload = preload
@@ -187,9 +195,9 @@ class ObjectManager:
             obj.change_type = change_type
             obj.is_master = True
             obj._manager = self
-            self._masters[object_id] = _MasterEntry(obj, change_type)
-        if self.preload:
             push = self._push_form(obj, VERSION_NONE, KIND_INSTANCE, 0, obj.serialize_instance)
+            self._masters[object_id] = _MasterEntry(obj, change_type, history=OrderedDict({VERSION_NONE: push}))
+        if self.preload:
             self.counters["preloads_sent"] += sum(self._send(CMD_OBJ_PUSH, push, self.node.peers))
         return object_id
 
@@ -287,16 +295,12 @@ class ObjectManager:
             entry.version += 1
             version = entry.version
 
-            instance = self._push_form(obj, version, KIND_INSTANCE, 0, obj.serialize_instance)
+            push = entry.history[version] = self._push_form(obj, version, KIND_INSTANCE, 0, obj.serialize_instance)
             if entry.change_type is ChangeType.DELTA:
                 push = self._push_form(obj, version, KIND_DELTA, obj.dirty_mask, obj.serialize_delta)
-            else:
-                push = instance
-
-            if entry.change_type.buffered:
-                entry.history[version] = instance
-                while len(entry.history) > self.history_depth:
-                    entry.history.popitem(last=False)
+            entry.history.pop(VERSION_NONE, None)
+            while len(entry.history) > (self.history_depth if entry.change_type.buffered else 1):
+                entry.history.popitem(last=False)
 
             obj.clear_dirty()
             obj.version = version
@@ -306,7 +310,7 @@ class ObjectManager:
         return version
 
     def _wait_for_tokens(self, entry: _MasterEntry, max_queued: int, timeout: Optional[float]) -> None:
-        # one token per slave and version, returned when the slave syncs
+        # a slave's token reports the version each of its syncs reached
         def blocked_slaves():
             return [
                 node_id
@@ -381,11 +385,12 @@ class ObjectManager:
                 self._apply(entry.obj, blob, kind, mask)
                 entry.version = version
                 obj.version = version
-                if entry.master.alive:
-                    entry.master.send_command(
-                        CMD_OBJ_TOKEN, obj.object_id.bytes + struct.pack("<Q", version)
-                    )
-            return resolved
+            token = obj.object_id.bytes + struct.pack("<Q", resolved)
+        # one token for the whole sync, sent outside the lock so that a
+        # blocking send cannot hold up the pushes arriving for other objects
+        if entry.master.alive:
+            entry.master.send_command(CMD_OBJ_TOKEN, token)
+        return resolved
 
     # --- command handlers -------------------------------------------------------
 
@@ -409,19 +414,15 @@ class ObjectManager:
         cmd.reply(b"\x01" if found else b"\x00")
 
     def _resolve_map_version(self, entry: _MasterEntry, requested: int) -> int:
-        if not entry.change_type.versioned or entry.version == VERSION_NONE:
-            return entry.version  # serve live state
         if requested == VERSION_OLDEST:
-            return next(iter(entry.history)) if entry.history else entry.version
+            return next(iter(entry.history))
         if requested == VERSION_HEAD:
             return entry.version
-        if requested == entry.version:
+        if requested in entry.history:
             return requested
-        if not entry.change_type.buffered:
-            raise VersionError("unbuffered objects: no previous versions can be mapped")
-        if requested not in entry.history:
+        if entry.change_type.buffered:
             raise VersionError(f"version {requested} not retained")
-        return requested
+        raise VersionError(f"{entry.change_type.name.lower()} objects: no previous versions can be mapped")
 
     def _on_map(self, cmd: Command) -> None:
         raw_id, requested, n_cached = _MAP_REQ.unpack_from(cmd.payload)
@@ -441,15 +442,13 @@ class ObjectManager:
                 return
             entry.slaves[cmd.peer.node_id] = _Slave(cmd.peer, version)
             catch_ups = [push for newer, push in entry.history.items() if newer > version]
+            instance = entry.history[version]
             from_cache = version in cached
-            reply = _MAP_REPLY.pack(version, entry.change_type, 0, from_cache)
             if not from_cache:
-                push = entry.history.get(version)
-                if push is None:  # static, unbuffered or never committed
-                    reply = self._serialize(entry.obj.serialize_instance, self.engine, reply)
-                else:
-                    reply += memoryview(push)[_PUSH_HEAD.size :]
                 self.counters["instance_payloads_sent"] += 1
+        reply = _MAP_REPLY.pack(version, entry.change_type, 0, from_cache)
+        if not from_cache:
+            reply += memoryview(instance)[_PUSH_HEAD.size :]
         # versions (mapped, head] go out before the reply, so that the slave
         # can sync past them; a later commit's push may overtake them, and the
         # slave's queue puts it back in order
@@ -525,7 +524,6 @@ class MulticastHub:
     def __init__(self):
         self._members: dict[uuid.UUID, LocalNode] = {}
         self._lock = threading.Lock()
-        self.broadcasts = 0
 
     def join(self, manager: ObjectManager) -> None:
         with self._lock:
@@ -539,6 +537,5 @@ class MulticastHub:
     def broadcast(self, sender: uuid.UUID, cmd_type: int, payload: bytes) -> None:
         with self._lock:
             members = [node for node_id, node in self._members.items() if node_id != sender]
-            self.broadcasts += 1
         for node in members:
             node.dispatch(node.peer(sender), cmd_type, 0, payload)

@@ -1,4 +1,5 @@
 import contextlib
+import struct
 import sys
 import threading
 import time
@@ -6,6 +7,8 @@ import uuid
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqsim.codec.streams import InputStream, OutputStream
 from eqsim.net import LOCAL_PIPE, ConnectionDescription, LocalNode
@@ -23,9 +26,9 @@ from eqsim.objects import (
     ObjectManager,
     VersionError,
 )
-from eqsim.objects.manager import CMD_OBJ_LOCATE, CMD_OBJ_MAP, CMD_OBJ_PUSH
+from eqsim.objects.manager import CMD_OBJ_LOCATE, CMD_OBJ_MAP, CMD_OBJ_PUSH, CMD_OBJ_TOKEN
 
-from _cluster import Cluster, Doc
+from _cluster import Cluster, Doc, record_links
 
 
 @pytest.fixture
@@ -44,8 +47,10 @@ def pair(engine):
 def test_static_maps_but_never_commits(pair):
     master = Doc(count=7, blob=b"fixed")
     oid = pair.managers[0].register_object(master, ChangeType.STATIC)
+    with pytest.raises(VersionError, match="previous versions"):
+        pair.managers[1].map_object(Doc(), oid, 1)  # a version it never had
     slave = Doc()
-    pair.managers[1].map_object(slave, oid)
+    assert pair.managers[1].map_object(slave, oid, VERSION_OLDEST) == VERSION_NONE
     assert slave.state() == master.state()
     with pytest.raises(ObjectError, match="static"):
         pair.managers[0].commit(master)
@@ -422,6 +427,15 @@ def test_unknown_dirty_bit_rejected(pair):
         master.set_dirty(1)  # bit 0 reserved
 
 
+def test_history_depth_must_keep_head():
+    node = LocalNode("lone")
+    try:
+        with pytest.raises(ValueError, match="history_depth"):
+            ObjectManager(node, history_depth=0)
+    finally:
+        node.close()
+
+
 def test_history_depth_limits_mappable_versions(engine):
     with Cluster(2, history_depth=5, engine=engine) as c:
         m0, m1 = c.managers
@@ -495,6 +509,38 @@ def test_unbuffered_serves_only_current_version(pair):
     assert m1.map_object(Doc(), oid, VERSION_OLDEST) == 3
 
 
+@pytest.mark.parametrize(
+    "change_type, commits",
+    [
+        (ChangeType.STATIC, 0),
+        (ChangeType.DELTA, 0),
+        (ChangeType.UNBUFFERED, 1),
+        (ChangeType.INSTANCE, 1),
+        (ChangeType.DELTA, 1),
+    ],
+    ids=["static", "never-committed", "unbuffered", "instance", "delta"],
+)
+def test_map_serves_the_stored_version_not_later_edits(engine, change_type, commits):
+    with Cluster(3, engine=engine) as c:
+        m0, *slave_managers = c.managers
+        master = CountingDoc(count=1, blob=b"committed")
+        oid = m0.register_object(master, change_type)
+        assert master.instance_serializations == 1
+        for _ in range(commits):
+            master.set_dirty(Doc.DIRTY_COUNT)
+            assert m0.commit(master) == 1
+        committed = m0.instance_data(master)
+        master.count = 99  # edited, not committed
+        master.set_dirty(Doc.DIRTY_COUNT)
+        master.instance_serializations = 0
+        for manager in slave_managers:
+            slave = Doc()
+            assert manager.map_object(slave, oid, VERSION_HEAD) == commits
+            assert slave.count == 1
+            assert manager.instance_data(slave) == committed
+        assert master.instance_serializations == 0
+
+
 def test_delta_chain_equals_direct_map(engine):
     with Cluster(3, engine=engine) as c:
         m0, m1, m2 = c.managers
@@ -536,6 +582,19 @@ def test_blocking_commit_waits_for_tokens(pair):
     m1.sync(slave, 1, timeout=5)
     t.join(timeout=10)
     assert state["v"] == 2
+
+
+def test_sync_over_three_versions_sends_one_token(pair):
+    m0, m1 = pair.managers
+    master = Doc()
+    oid = m0.register_object(master, ChangeType.DELTA)
+    slave = Doc()
+    m1.map_object(slave, oid)
+    links = record_links(pair)
+    commit_n(m0, master, 3)
+    assert m1.sync(slave, 3, timeout=5) == 3
+    token = oid.bytes + struct.pack("<Q", 3)
+    assert links["n1", "n0"] == struct.pack("<IHI", 6 + len(token), CMD_OBJ_TOKEN, 0) + token
 
 
 def test_blocking_commit_bounded_queue_depth(pair):
@@ -916,3 +975,83 @@ def test_randomized_replication_byte_equal(engine):
             reached = mgr.sync(slave, 200, timeout=10)
             assert reached == 200
             assert mgr.instance_data(slave) == snapshots[200]
+
+
+_HISTORY_DEPTH = 3
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("commit"), st.integers(0, 255)),
+        st.tuples(st.just("edit"), st.integers(-1000, 1000)),
+        # a requested version: VERSION_OLDEST, VERSION_HEAD or an explicit one
+        st.tuples(st.just("map"), st.integers(0, 1), st.integers(VERSION_OLDEST, 8)),
+        st.tuples(st.just("sync"), st.integers(0, 1), st.integers(0, 8)),
+    ),
+    max_size=12,
+)
+
+
+def test_every_map_and_sync_yields_the_snapshot_of_its_version():
+    """Random commits, uncommitted edits, maps and syncs over every change
+    type: a map and a sync leave the slave holding exactly the state taken
+    at the commit of the version they report, and a map of a version the
+    master does not keep raises."""
+    with Cluster(3, history_depth=_HISTORY_DEPTH) as c:
+        m0, *slave_managers = c.managers
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(change_type=st.sampled_from(ChangeType), steps=_steps)
+        def replicate(change_type, steps):
+            master = Doc(count=-1, blob=b"registered")
+            oid = m0.register_object(master, change_type)
+            snapshots = {VERSION_NONE: m0.instance_data(master)}
+            slaves = [None, None]
+
+            def mappable():
+                head = max(snapshots)
+                if change_type.buffered and head != VERSION_NONE:
+                    return list(range(max(1, head - _HISTORY_DEPTH + 1), head + 1))
+                return [head]
+
+            try:
+                for op, *args in steps:
+                    if op == "commit" and not change_type.versioned:
+                        with pytest.raises(ObjectError, match="static"):
+                            m0.commit(master)
+                    elif op == "commit":
+                        master.blob = bytes([args[0]]) * (args[0] + 1)
+                        master.set_dirty(Doc.DIRTY_BLOB)
+                        v = m0.commit(master)
+                        snapshots[v] = m0.instance_data(master)
+                    elif op == "edit":
+                        master.count = args[0]
+                        master.set_dirty(Doc.DIRTY_COUNT)
+                    elif op == "map":
+                        i, requested = args
+                        manager = slave_managers[i]
+                        if slaves[i] is not None:
+                            manager.unmap_object(slaves[i])
+                            slaves[i] = None
+                        versions = mappable()
+                        expected = {VERSION_OLDEST: versions[0], VERSION_HEAD: versions[-1]}.get(
+                            requested, requested
+                        )
+                        slave = Doc()
+                        if expected not in versions:
+                            with pytest.raises(VersionError):
+                                manager.map_object(slave, oid, requested, timeout=5)
+                            continue
+                        assert manager.map_object(slave, oid, requested, timeout=5) == expected
+                        assert manager.instance_data(slave) == snapshots[expected]
+                        slaves[i] = slave
+                    elif slaves[args[0]] is not None:  # sync
+                        slave, manager = slaves[args[0]], slave_managers[args[0]]
+                        head = max(snapshots)
+                        target = slave.version + args[1] % (head - slave.version + 1)
+                        assert manager.sync(slave, target, timeout=5) == target
+                        assert manager.instance_data(slave) == snapshots[target]
+            finally:
+                for manager, slave in zip(slave_managers, slaves):
+                    if slave is not None:
+                        manager.unmap_object(slave)
+
+        replicate()

@@ -15,6 +15,7 @@ from test_objects import (  # noqa: F401
     test_history_depth_limits_mappable_versions,
     test_map_before_any_commit_gets_initial_instance,
     test_map_oldest_and_explicit_version,
+    test_map_serves_the_stored_version_not_later_edits,
     test_multicast_and_unicast_results_identical,
     test_multicast_commit_single_payload,
     test_multicast_snooping_fills_cache,

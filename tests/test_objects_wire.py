@@ -61,8 +61,8 @@ def _scenario(engine):
 
 
 _SLAVE_LINKS = {
-    ("n1", "n0"): "236ac1e03f0a4154f903483f141091446f6df3b6db68277b918b09fa9326f9f8",
-    ("n2", "n0"): "86a29435dfa77742fe39b5dee8798b752fc0cd47a33a0065d547fb08bdd454fe",
+    ("n1", "n0"): "d7a2c9262b4d8cf3746d8a3ac627754a131cb121dddf0e756b6703065af69231",
+    ("n2", "n0"): "f28949f6dd6b767a781c49e8b67ec0728eeead96660ab0a6a62bc5dc8c5c7bdd",
 }
 PINNED_LINKS = {
     None: {
