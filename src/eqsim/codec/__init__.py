@@ -12,6 +12,7 @@ from .rle import compress as rle_compress
 from .rle import decompress as rle_decompress
 from .streams import (
     DEFAULT_CHUNK_SIZE,
+    MAX_CHUNK_SIZE,
     InputStream,
     OutputStream,
     StreamClosedError,
@@ -35,6 +36,7 @@ __all__ = [
     "rle_compress",
     "rle_decompress",
     "DEFAULT_CHUNK_SIZE",
+    "MAX_CHUNK_SIZE",
     "InputStream",
     "OutputStream",
     "StreamClosedError",

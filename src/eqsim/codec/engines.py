@@ -11,9 +11,12 @@ returns bytes or a read-only view, never a view of a mutable input.
 `compress_span(data, chunk_size, head)` compresses a span chunk by chunk,
 the last chunk possibly shorter, and returns one bytes object per chunk:
 `head(n)`, then the `n` bytes of `compress(chunk)`, built in one join.
-An OutputStream frames its chunks this way.  `rle` encodes a whole span in
+An OutputStream with an engine frames its chunks this way and hands its
+sink each of these frames; what the sink receives, concatenated, is the
+framed chunk stream (a stream without an engine hands it each chunk
+header and chunk as two pieces).  `rle` encodes a whole span in
 vectorized passes; an engine that gives no span entry runs its `compress`
-on each chunk.
+on each chunk.  No chunk is larger than `rle.MAX_CHUNK_SIZE`.
 
 Built-in tiers:
 

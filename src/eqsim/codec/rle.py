@@ -27,7 +27,9 @@ chunk's control words and payload, so Python steps once per chunk (its
 checksum and the one join that builds it), never per block.
 `decompress` walks the control words once, checking every block, and
 expands them with one `np.repeat`; a chunk that is one literal block
-comes back as a view of its input.
+comes back as a view of its input.  Before it expands, the decoder sums
+the blocks' counts and rejects a chunk that would grow past
+MAX_CHUNK_SIZE bytes, so a corrupt count cannot make it allocate more.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ _MIN_ZERO_RUN = 2  # zero runs have no value word, so they pay off earlier
 
 # worst case: one literal control word + final-word padding + crc
 MAX_OVERHEAD = 8 + 7 + 4
+
+# the largest chunk a stream makes (see streams.py), so the most one chunk
+# may decode to
+MAX_CHUNK_SIZE = 64 << 20
 
 # input per vectorized pass, 16 chunks of 64 KiB: numpy's cost per call makes
 # a pass over one chunk slower than a Python loop over its blocks
@@ -226,7 +232,12 @@ def decompress(data):
     else:
         at = np.array(at)
         kinds = words[at] & 3
-        counts = (words[at] >> 5).astype(np.int64)
+        counts = words[at] >> 5
+        # the chunk decodes to sum(counts) words; a float64 sum is exact far
+        # past the bound and, unlike uint64, cannot wrap back under it
+        if counts.sum(dtype=np.float64) * _WORD - pad > MAX_CHUNK_SIZE:
+            raise RleDecodeError(f"blocks expand past {MAX_CHUNK_SIZE} bytes", 0)
+        counts = counts.astype(np.int64)
         # literal words appear once, a run value word `count` times, a
         # control word never, except a zero run's, which stands in for
         # its zeros

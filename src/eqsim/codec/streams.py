@@ -1,14 +1,28 @@
 """Buffered byte streams with chunked emission and per-chunk compression.
 
 OutputStream aggregates writes and hands fixed-size chunks to a sink.
-Emission happens per write span: each write hands its run of whole
-chunks to the engine's span entry at once, then gives the sink every
-framed chunk of that run, so serialization overlaps with whatever the
-sink does (network send, file write) from one write to the next.  A
-partial chunk waits in a buffer for the next write or the flush.  Chunk
-framing on the wire:
+Emission happens per write span: each write frames its run of whole
+chunks at once and gives the sink that run's pieces, so serialization
+overlaps with whatever the sink does (network send, file write) from one
+write to the next.  A partial chunk waits in a buffer for the next write
+or the flush.  Chunk framing on the wire:
 
     u32 LE payload length | u8 codec wire id | payload
+
+What the sink receives, concatenated, is the framed chunk stream; a sink
+that needs the frames one by one joins its pieces and splits them with
+`iter_frames`.  A stream with an engine hands the sink one piece per
+framed chunk.  A stream without one hands it the chunk header and then
+the chunk, never concatenated, so whoever joins the pieces makes the
+only copy of the payload.  Every piece is `bytes` or a read-only view of
+memory that never changes: a chunk that lies in an immutable `bytes`, or
+in a buffer the stream has retired, goes as a view; a chunk of any other
+caller memory (bytearray, numpy array, writable memoryview) is copied
+during `write`, so a caller may reuse its buffer once `write` returns.
+
+No chunk is larger than MAX_CHUNK_SIZE (64 MiB): an OutputStream rejects
+a larger `chunk_size`, and the rle decoder rejects a chunk that would
+expand past it before it allocates.
 
 Multi-byte primitives are written little-endian by default; InputStream
 is told the writer's endianness and byte-swaps on input when it differs
@@ -22,7 +36,8 @@ import sys
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..bytequeue import ByteQueue
-from .engines import WIRE_ID_NONE, CompressionEngine, chunkwise, get_engine_by_wire_id
+from .engines import WIRE_ID_NONE, CompressionEngine, get_engine_by_wire_id
+from .rle import MAX_CHUNK_SIZE
 
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
@@ -42,8 +57,8 @@ class UnderflowError(StreamError):
 
 
 def frame_chunk(payload: bytes, wire_id: int) -> bytes:
-    """One framed chunk.  OutputStream makes the same bytes in the join
-    that builds each chunk (see `CompressionEngine.compress_span`)."""
+    """One framed chunk.  An OutputStream hands its sink the same bytes,
+    as one piece with an engine and as two without."""
     return _CHUNK_HEADER.pack(len(payload), wire_id) + payload
 
 
@@ -79,48 +94,51 @@ def unframe_chunk(chunk: bytes) -> Union[bytes, memoryview]:
 
 
 class OutputStream:
-    """Single-owner buffered writer emitting framed chunks to `sink`."""
+    """Single-owner buffered writer handing the framed chunk stream to
+    `sink` in pieces."""
 
     def __init__(
         self,
-        sink: Callable[[bytes], None],
+        sink: Callable[[Union[bytes, memoryview]], None],
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         engine: Optional[CompressionEngine] = None,
         endianness: str = "little",
     ):
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
+        if not 1 <= chunk_size <= MAX_CHUNK_SIZE:
+            raise ValueError(f"chunk_size must lie in 1..{MAX_CHUNK_SIZE}")
         self._sink = sink
         self.chunk_size = chunk_size
         self.engine = engine
-        if engine is None:
-            # chunks go as they are: a view is the identity coder
-            self._compress_span = chunkwise(memoryview)
-            wire_id = WIRE_ID_NONE
-        else:
-            self._compress_span = engine.compress_span
-            wire_id = engine.wire_id
+        wire_id = WIRE_ID_NONE if engine is None else engine.wire_id
         self._head = lambda length: _CHUNK_HEADER.pack(length, wire_id)
         self._buffer = bytearray()
         self._closed = False
         self._fmt = "<" if endianness == "little" else ">"
         self.bytes_written = 0
 
-    def _emit(self, span) -> None:
+    def _emit(self, span: memoryview) -> None:
         """Frame `span`, whole chunks and at most one partial one at its
-        end, and hand the sink each framed chunk."""
-        frames = self._compress_span(span, self.chunk_size, self._head)
+        end, and hand the sink the pieces.  Without an engine the chunks
+        go as views of `span`, which must be memory that never changes."""
+        if self.engine is None:
+            pieces = []
+            for start in range(0, len(span), self.chunk_size):
+                chunk = span[start : start + self.chunk_size]
+                pieces += (self._head(len(chunk)), chunk)
+        else:
+            pieces = self.engine.compress_span(span, self.chunk_size, self._head)
         try:
-            for frame in frames:
-                self._sink(frame)
+            for piece in pieces:
+                self._sink(piece)
         except Exception:
             self._closed = True  # sink failed, stream unusable
             raise
 
     def write(self, data) -> None:
-        """Append any C-contiguous bytes-like object.  The whole chunks go
-        to the engine in one span straight from `data`; only a partial
-        chunk at either end is buffered."""
+        """Append any C-contiguous bytes-like object.  The whole chunks are
+        framed in one span straight from `data`, or, without an engine,
+        from one copy of them unless `data` lies in a `bytes`; only a
+        partial chunk at either end is buffered."""
         if self._closed:
             raise StreamClosedError("write on closed stream")
         view = memoryview(data).cast("B")
@@ -134,12 +152,16 @@ class OutputStream:
             self._emit_buffer()
         end = len(view) - (len(view) - pos) % self.chunk_size
         if end > pos:
-            self._emit(view[pos:end])
+            span = view[pos:end]
+            if self.engine is None and not isinstance(view.obj, bytes):
+                span = memoryview(span.tobytes())  # the caller may change its memory
+            self._emit(span)
         self._buffer += view[end:]
 
     def _emit_buffer(self) -> None:
+        # the retired buffer is never written again, so its chunks may go as views
         payload, self._buffer = self._buffer, bytearray()
-        self._emit(payload)
+        self._emit(memoryview(payload).toreadonly())
 
     def flush(self) -> None:
         if self._closed:
@@ -154,26 +176,14 @@ class OutputStream:
 
     # primitives, canonical little-endian unless constructed otherwise
 
-    def write_u8(self, v: int) -> None:
-        self.write(struct.pack(self._fmt + "B", v))
-
-    def write_u16(self, v: int) -> None:
-        self.write(struct.pack(self._fmt + "H", v))
-
     def write_u32(self, v: int) -> None:
         self.write(struct.pack(self._fmt + "I", v))
 
     def write_u64(self, v: int) -> None:
         self.write(struct.pack(self._fmt + "Q", v))
 
-    def write_i32(self, v: int) -> None:
-        self.write(struct.pack(self._fmt + "i", v))
-
     def write_i64(self, v: int) -> None:
         self.write(struct.pack(self._fmt + "q", v))
-
-    def write_f32(self, v: float) -> None:
-        self.write(struct.pack(self._fmt + "f", v))
 
     def write_f64(self, v: float) -> None:
         self.write(struct.pack(self._fmt + "d", v))
@@ -187,10 +197,11 @@ class OutputStream:
 class InputStream:
     """Single-owner reader over a chunk producer.
 
-    `source` yields framed chunks (as produced by an OutputStream sink);
-    it may be any iterable, or a callable returning the next chunk and
-    None at end of stream.  Decoded payloads wait in a `ByteQueue`, so a
-    read copies its bytes once, out of the payloads.
+    `source` yields framed chunks (as `iter_frames` splits them out of
+    what an OutputStream's sink received); it may be any iterable, or a
+    callable returning the next chunk and None at end of stream.  Decoded
+    payloads wait in a `ByteQueue`, so a read copies its bytes once, out
+    of the payloads.
     """
 
     def __init__(
@@ -231,26 +242,14 @@ class InputStream:
     def _unpack(self, code: str, size: int):
         return struct.unpack(self._fmt + code, self.read(size))[0]
 
-    def read_u8(self) -> int:
-        return self._unpack("B", 1)
-
-    def read_u16(self) -> int:
-        return self._unpack("H", 2)
-
     def read_u32(self) -> int:
         return self._unpack("I", 4)
 
     def read_u64(self) -> int:
         return self._unpack("Q", 8)
 
-    def read_i32(self) -> int:
-        return self._unpack("i", 4)
-
     def read_i64(self) -> int:
         return self._unpack("q", 8)
-
-    def read_f32(self) -> float:
-        return self._unpack("f", 4)
 
     def read_f64(self) -> float:
         return self._unpack("d", 8)

@@ -91,6 +91,13 @@ class Connection:
     def send(self, data: bytes) -> None:
         raise NotImplementedError
 
+    def send_pieces(self, *pieces) -> None:
+        """Send the concatenation of `pieces`, one `send` per nonempty piece
+        unless the transport can gather them into one write."""
+        for piece in pieces:
+            if len(piece):
+                self.send(piece)
+
     def recv(self, n: int, timeout: Optional[float] = None) -> bytes:
         raise NotImplementedError
 
@@ -179,6 +186,19 @@ class TcpConnection(Connection):
     def send(self, data: bytes) -> None:
         try:
             self._sock.sendall(data)
+        except OSError as exc:
+            raise ConnectionClosedError(str(exc)) from exc
+
+    def send_pieces(self, *pieces) -> None:
+        """One `sendmsg` gathers every piece; a short send resends the rest."""
+        views = [memoryview(piece).cast("B") for piece in pieces if len(piece)]
+        try:
+            while views:
+                sent = self._sock.sendmsg(views)
+                while views and sent >= len(views[0]):
+                    sent -= len(views.pop(0))
+                if sent:
+                    views[0] = views[0][sent:]
         except OSError as exc:
             raise ConnectionClosedError(str(exc)) from exc
 

@@ -14,12 +14,12 @@ other command to the handler registered for its type.  Commands with an
 unknown type are counted and reported, not fatal.
 
 Frame layout: u32 LE frame length | u16 command type | u32 request id |
-payload.  The 10-byte header and the payload travel as two writes under
-the peer's send lock, so the payload is never copied to prepend the
-header and frames from concurrent senders never interleave.  Request id
-0 means fire-and-forget; nonzero ids correlate a blocking `request` with
-its REPLY; its `timeout` bounds the whole call, as HANDSHAKE_TIMEOUT bounds
-connecting.  A request still pending when its peer's connection ends, or
+payload.  The 10-byte header and the payload go to the connection as
+two pieces under the peer's send lock (one `sendmsg` on TCP), so the
+payload is never copied to prepend the header and frames from concurrent
+senders never interleave.  Request id 0 means fire-and-forget; nonzero
+ids correlate a blocking `request` with its REPLY; its `timeout` bounds
+the whole call, as HANDSHAKE_TIMEOUT bounds connecting.  A request still pending when its peer's connection ends, or
 when the local node closes, fails at once with ConnectionClosedError;
 closing the node also ends its accepts and handshakes at once.
 """
@@ -84,9 +84,7 @@ class RemoteNode:
     def send_raw(self, cmd_type: int, request_id: int, payload: bytes) -> None:
         header = _FRAME.pack(6 + len(payload), cmd_type, request_id)
         with self._send_lock:
-            self.connection.send(header)
-            if payload:
-                self.connection.send(payload)
+            self.connection.send_pieces(header, payload)
 
     def send_command(self, cmd_type: int, payload: bytes = b"") -> None:
         self.send_raw(cmd_type, 0, payload)

@@ -161,7 +161,9 @@ class ObjectManager:
     # --- serialization helpers ----------------------------------------------
 
     def _serialize(self, write, engine: Optional[CompressionEngine], head: bytes = b"") -> bytes:
-        """`head` followed by the stream that `write` produces, in one join."""
+        """`head` followed by the stream that `write` produces, in one join:
+        without an engine the stream hands over chunk headers and views of
+        the chunks, so the join is the one copy of a `bytes` payload."""
         parts = [head]
         out = OutputStream(parts.append, engine=engine)
         write(out)

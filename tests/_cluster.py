@@ -48,6 +48,11 @@ class _Recording:
         self.sent += data
         self._connection.send(data)
 
+    def send_pieces(self, *pieces) -> None:
+        for piece in pieces:
+            self.sent += piece
+        self._connection.send_pieces(*pieces)
+
     def __getattr__(self, name):
         return getattr(self._connection, name)
 

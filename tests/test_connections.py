@@ -4,6 +4,7 @@ import struct
 import sys
 import threading
 import time
+import uuid
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from eqsim.net import (
     PipeConnection,
     RateLimitedConnection,
     RemoteError,
+    RemoteNode,
     WallClockBucket,
     connect,
     listen,
 )
 from eqsim.net import node as node_module
+from eqsim.net.connection import TcpConnection
 
 _ports = iter(range(4100, 4900))
 
@@ -197,6 +200,50 @@ def test_tcp_recv_timeout_bounds_the_whole_read():
         server.close()
         listener.close()
     assert not t.is_alive()
+
+
+class RecordingSocket:
+    """Stands in for a TCP socket: records each send call and the bytes it
+    took, taking at most `limit` bytes per call."""
+
+    def __init__(self, limit=None):
+        self.limit = limit
+        self.calls = []
+        self.wire = bytearray()
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def sendall(self, data) -> None:
+        self.calls.append("sendall")
+        self.wire += data
+
+    def sendmsg(self, buffers) -> int:
+        self.calls.append("sendmsg")
+        data = b"".join(buffers)[: self.limit]
+        self.wire += data
+        return len(data)
+
+
+def test_tcp_command_is_one_sendmsg():
+    sock = RecordingSocket()
+    peer = RemoteNode(uuid.uuid4(), TcpConnection(sock), None)
+    payload = bytes(range(256)) * 40
+    peer.send_command(CMD_LOG, payload)
+    peer.send_command(CMD_LOG, b"")
+    assert sock.calls == ["sendmsg", "sendmsg"]
+    assert sock.wire == (
+        struct.pack("<IHI", 6 + len(payload), CMD_LOG, 0) + payload + struct.pack("<IHI", 6, CMD_LOG, 0)
+    )
+
+
+def test_tcp_short_sends_still_deliver_the_whole_frame():
+    sock = RecordingSocket(limit=7)
+    peer = RemoteNode(uuid.uuid4(), TcpConnection(sock), None)
+    payload = bytes(range(100))
+    peer.send_command(CMD_LOG, payload)
+    assert sock.wire == struct.pack("<IHI", 6 + len(payload), CMD_LOG, 0) + payload
+    assert sock.calls == ["sendmsg"] * -(-len(sock.wire) // 7)
 
 
 def test_connect_to_silent_peer_fails_within_the_handshake_timeout(monkeypatch):

@@ -3,6 +3,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import uuid
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqsim.codec.streams import InputStream, OutputStream
+from eqsim.codec.streams import DEFAULT_CHUNK_SIZE, InputStream, OutputStream, iter_frames
 from eqsim.net import LOCAL_PIPE, ConnectionDescription, LocalNode
 from eqsim.objects import (
     VERSION_HEAD,
@@ -26,7 +27,7 @@ from eqsim.objects import (
     ObjectManager,
     VersionError,
 )
-from eqsim.objects.manager import CMD_OBJ_LOCATE, CMD_OBJ_MAP, CMD_OBJ_PUSH, CMD_OBJ_TOKEN
+from eqsim.objects.manager import _PUSH_HEAD, CMD_OBJ_LOCATE, CMD_OBJ_MAP, CMD_OBJ_PUSH, CMD_OBJ_TOKEN
 
 from _cluster import Cluster, Doc, record_links
 
@@ -1055,3 +1056,70 @@ def test_every_map_and_sync_yields_the_snapshot_of_its_version():
                         manager.unmap_object(slave)
 
         replicate()
+
+
+def test_instance_commit_copies_a_bytes_payload_once(pair):
+    """Without an engine the chunks of a `bytes` payload go to the push as
+    views, so the push's one join is the only copy: the 16 framed chunks
+    and the push are never held at once."""
+    m0, _ = pair.managers
+    master = Plain()
+    m0.register_object(master, ChangeType.INSTANCE)
+    master.data = np.random.default_rng(1).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
+    tracemalloc.start()
+    try:
+        m0.commit(master)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 20)
+
+
+_SCRATCH_SIZE = 3 * DEFAULT_CHUNK_SIZE + 1000  # several chunks, not a multiple of one
+
+_SCRATCH_KINDS = {
+    "bytearray": bytearray,
+    "numpy": lambda n: np.zeros(n, dtype=np.uint8),
+    "memoryview": lambda n: memoryview(bytearray(n)),
+}
+
+
+class Reuser(DistributedObject):
+    """Writes each part through one scratch buffer that it overwrites
+    after every write, as a serializer reusing its buffers does."""
+
+    def __init__(self, parts=(), scratch=bytearray):
+        super().__init__()
+        self.parts = list(parts)
+        self.scratch = scratch
+
+    def serialize_instance(self, stream: OutputStream) -> None:
+        stream.write_u32(len(self.parts))
+        scratch = self.scratch(_SCRATCH_SIZE)
+        for part in self.parts:
+            memoryview(scratch).cast("B")[:] = part
+            stream.write(scratch)
+        memoryview(scratch).cast("B")[:] = bytes(_SCRATCH_SIZE)
+
+    def deserialize_instance(self, stream: InputStream) -> None:
+        self.parts = [stream.read(_SCRATCH_SIZE) for _ in range(stream.read_u32())]
+
+
+@pytest.mark.parametrize("kind", sorted(_SCRATCH_KINDS))
+def test_commit_keeps_what_a_reused_buffer_held(pair, kind):
+    m0, m1 = pair.managers
+    rng = np.random.default_rng(2)
+    parts = [rng.integers(0, 4, _SCRATCH_SIZE, dtype=np.uint8).tobytes() for _ in range(3)]
+    master = Reuser(parts[:1], _SCRATCH_KINDS[kind])
+    oid = m0.register_object(master, ChangeType.INSTANCE)
+    slave = Reuser()
+    m1.map_object(slave, oid)
+    assert slave.parts == parts[:1]
+    master.parts = parts
+    v = m0.commit(master)
+    assert m1.sync(slave, v, timeout=5) == v
+    assert slave.parts == parts
+    stored = Reuser()
+    push = memoryview(m0._masters[oid].history[v])
+    stored.deserialize_instance(InputStream(iter_frames(push[_PUSH_HEAD.size :])))
+    assert stored.parts == parts

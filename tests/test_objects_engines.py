@@ -1,6 +1,7 @@
-"""The map, sync, preload and multicast tests of test_objects.py, run again
-with each compression engine: the tests are collected here a second time, and
-this module's `engine` fixture overrides the engine-less one they use there."""
+"""The map, sync, preload, multicast and buffer-reuse tests of
+test_objects.py, run again with each compression engine: the tests are
+collected here a second time, and this module's `engine` fixture
+overrides the engine-less one they use there."""
 
 import pytest
 
@@ -10,6 +11,7 @@ from test_objects import (  # noqa: F401
     pair,
     test_cache_transparency,
     test_catch_up_pushes_overtaken_by_multicast_commit,
+    test_commit_keeps_what_a_reused_buffer_held,
     test_delta_chain_equals_direct_map,
     test_head_map_serves_committed_state,
     test_history_depth_limits_mappable_versions,
