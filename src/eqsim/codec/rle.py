@@ -74,9 +74,11 @@ class RleDecodeError(ValueError):
 
 
 def compress(data) -> bytes:
-    """Encode any bytes-like object; only an input that is not a word
-    multiple is copied (to pad it)."""
+    """Encode any bytes-like object of at most MAX_CHUNK_SIZE bytes; only
+    an input that is not a word multiple is copied (to pad it)."""
     view = memoryview(data).cast("B")
+    if len(view) > MAX_CHUNK_SIZE:
+        raise ValueError(f"rle encodes at most {MAX_CHUNK_SIZE} bytes at once")
     return compress_span(view, len(view), _no_head)[0] if len(view) else b""
 
 
@@ -186,7 +188,8 @@ def _control(kind: int, count: int, pad: int = 0) -> bytes:
 
 
 def decompress(data):
-    """Decode what `compress` made.  Returns a read-only view: of `data`
+    """Decode what `compress` made.  Only a chunk that decodes to at most
+    MAX_CHUNK_SIZE bytes is accepted.  Returns a read-only view: of `data`
     when it is one literal block and `data` is immutable, else of new
     memory; the bytes of a mutable one-literal input come as a copy."""
     if len(data) == 0:
@@ -227,16 +230,22 @@ def decompress(data):
         raise RleDecodeError("truncated control word", i * _WORD)
     pad = (word >> 2) & 7  # the final block carries the pad
 
-    if len(at) == 1 and kind == _KIND_LITERAL:
-        result = body[8:]
+    literal = len(at) == 1 and kind == _KIND_LITERAL
+    if literal:
+        decoded_words = count
     else:
         at = np.array(at)
         kinds = words[at] & 3
         counts = words[at] >> 5
         # the chunk decodes to sum(counts) words; a float64 sum is exact far
         # past the bound and, unlike uint64, cannot wrap back under it
-        if counts.sum(dtype=np.float64) * _WORD - pad > MAX_CHUNK_SIZE:
-            raise RleDecodeError(f"blocks expand past {MAX_CHUNK_SIZE} bytes", 0)
+        decoded_words = counts.sum(dtype=np.float64)
+    if decoded_words * _WORD - pad > MAX_CHUNK_SIZE:
+        raise RleDecodeError(f"blocks expand past {MAX_CHUNK_SIZE} bytes", 0)
+
+    if literal:
+        result = body[8:]
+    else:
         counts = counts.astype(np.int64)
         # literal words appear once, a run value word `count` times, a
         # control word never, except a zero run's, which stands in for

@@ -184,10 +184,7 @@ class TcpConnection(Connection):
         self._received = ByteQueue()  # bytes read by a recv that timed out
 
     def send(self, data: bytes) -> None:
-        try:
-            self._sock.sendall(data)
-        except OSError as exc:
-            raise ConnectionClosedError(str(exc)) from exc
+        self.send_pieces(data)
 
     def send_pieces(self, *pieces) -> None:
         """One `sendmsg` gathers every piece; a short send resends the rest."""

@@ -19,9 +19,10 @@ two pieces under the peer's send lock (one `sendmsg` on TCP), so the
 payload is never copied to prepend the header and frames from concurrent
 senders never interleave.  Request id 0 means fire-and-forget; nonzero
 ids correlate a blocking `request` with its REPLY; its `timeout` bounds
-the whole call, as HANDSHAKE_TIMEOUT bounds connecting.  A request still pending when its peer's connection ends, or
-when the local node closes, fails at once with ConnectionClosedError;
-closing the node also ends its accepts and handshakes at once.
+the whole call, as HANDSHAKE_TIMEOUT bounds connecting.  A request still
+pending when its peer's connection ends, or when the local node closes,
+fails at once with ConnectionClosedError; closing the node also ends its
+accepts and handshakes at once.
 """
 
 from __future__ import annotations

@@ -202,9 +202,20 @@ def test_chunk_frames_pinned_for_mixed_writes(engine_name):
         for i in range(0, len(flat), 64)
     ]
     assert frames == expected
-    # an engine's frames come whole; without one, a chunk is a read-only view
-    assert len(pieces) == (1 if engine else 2) * len(expected)
-    assert all(type(p) is bytes or p.readonly for p in pieces)
+    # an engine's frames come whole; without one, a header comes as bytes and
+    # its chunk as a read-only view of bytes or of the stream's own retired
+    # buffer, never of the caller's mutable memory
+    if engine:
+        assert len(pieces) == len(expected)
+        assert all(type(p) is bytes for p in pieces)
+    else:
+        assert len(pieces) == 2 * len(expected)
+        assert all(type(p) is bytes for p in pieces[::2])
+        for chunk in pieces[1::2]:
+            assert chunk.readonly
+            assert isinstance(chunk.obj, bytes) or (
+                type(chunk.obj) is bytearray and not any(chunk.obj is data for data in writes)
+            )
     assert hashlib.sha256(b"".join(pieces)).hexdigest() == PINNED_FRAMES[engine_name]
     assert InputStream(frames).read(len(flat)) == flat
 
@@ -270,11 +281,15 @@ def test_underflow_with_callable_source_consumes_nothing():
     assert ins.position == 28
 
 
-def test_chunk_size_is_bounded():
+def test_chunk_size_is_bounded(monkeypatch):
     OutputStream(lambda piece: None, chunk_size=MAX_CHUNK_SIZE)
     for size in (0, MAX_CHUNK_SIZE + 1):
         with pytest.raises(ValueError):
             OutputStream(lambda piece: None, chunk_size=size)
+    monkeypatch.setattr(rle, "MAX_CHUNK_SIZE", 1024)
+    assert rle_decompress(rle_compress(bytes(1024))) == bytes(1024)
+    with pytest.raises(ValueError):
+        rle_compress(bytes(1025))
 
 
 def test_rle_rejects_a_count_past_the_chunk_bound_before_expanding():
@@ -292,9 +307,14 @@ def test_rle_rejects_a_count_past_the_chunk_bound_before_expanding():
 
 
 def test_rle_decodes_up_to_the_chunk_bound(monkeypatch):
+    literal = bytes(range(256)) * 4 + b"z"  # one literal block, no run
+    too_long = [
+        rle_compress(data) for data in (bytes(1025), b"x" * 8 + bytes(1024), bytes(512) + b"y" * 1024, literal)
+    ]
     monkeypatch.setattr(rle, "MAX_CHUNK_SIZE", 1024)
     assert rle_decompress(rle_compress(bytes(1024))) == bytes(1024)
     assert rle_decompress(rle_compress(bytes(1020))) == bytes(1020)
-    for data in (bytes(1025), b"x" * 8 + bytes(1024), bytes(512) + b"y" * 1024):
+    assert rle_decompress(rle_compress(literal[:1024])) == literal[:1024]
+    for packed in too_long:
         with pytest.raises(RleDecodeError, match="expand past"):
-            rle_decompress(rle_compress(data))
+            rle_decompress(packed)
