@@ -1,9 +1,9 @@
 """eqsim - cluster-rendering machinery without the GPUs.
 
 A library implementing the non-graphics core of a parallel rendering
-framework: reliable UDP multicast with versioned distributed objects,
-compound-tree task decomposition and compositing, and a deterministic
-network simulator to exercise the multicast protocol.
+framework: a reliable multicast protocol with versioned distributed
+objects, compound-tree task decomposition and compositing, and a
+deterministic network simulator to exercise the multicast protocol.
 
 Subpackages
 -----------

@@ -8,15 +8,13 @@ directions take any bytes-like object (an OutputStream hands its engine
 views of the caller's data).  `compress` returns bytes; `decompress`
 returns bytes or a read-only view, never a view of a mutable input.
 
-`compress_span(data, chunk_size, head)` compresses a span chunk by chunk,
-the last chunk possibly shorter, and returns one bytes object per chunk:
-`head(n)`, then the `n` bytes of `compress(chunk)`, built in one join.
-An OutputStream with an engine frames its chunks this way and hands its
-sink each of these frames; what the sink receives, concatenated, is the
-framed chunk stream (a stream without an engine hands it each chunk
-header and chunk as two pieces).  `rle` encodes a whole span in
-vectorized passes; an engine that gives no span entry runs its `compress`
-on each chunk.  No chunk is larger than `rle.MAX_CHUNK_SIZE`.
+`compress_span(data, chunk_size)` compresses a span chunk by chunk, the
+last chunk possibly shorter, and returns one bytes object per chunk,
+equal to what `compress` makes of that chunk.  An OutputStream with an
+engine codes its chunks this way and frames each payload itself (see
+streams.py).  `rle` encodes a whole span in vectorized passes; an engine
+that gives no span entry runs its `compress` on each chunk.  No chunk is
+larger than `rle.MAX_CHUNK_SIZE`.
 
 Built-in tiers:
 
@@ -51,19 +49,15 @@ from . import rle
 WIRE_ID_NONE = 0
 
 
-SpanCoder = Callable[[bytes, int, Callable[[int], bytes]], list]
+SpanCoder = Callable[[bytes, int], list]
 
 
 def chunkwise(compress: Callable[[bytes], bytes]) -> SpanCoder:
     """The span entry that runs a single-chunk coder on each chunk."""
 
-    def compress_span(data, chunk_size: int, head: Callable[[int], bytes]) -> list:
+    def compress_span(data, chunk_size: int) -> list:
         view = memoryview(data).cast("B")
-        frames = []
-        for start in range(0, len(view), chunk_size):
-            payload = compress(view[start : start + chunk_size])
-            frames.append(head(len(payload)) + payload)
-        return frames
+        return [compress(view[start : start + chunk_size]) for start in range(0, len(view), chunk_size)]
 
     return compress_span
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 import struct
 import sys
 import zlib
-from typing import Callable
 
 import numpy as np
 
@@ -79,17 +78,13 @@ def compress(data) -> bytes:
     view = memoryview(data).cast("B")
     if len(view) > MAX_CHUNK_SIZE:
         raise ValueError(f"rle encodes at most {MAX_CHUNK_SIZE} bytes at once")
-    return compress_span(view, len(view), _no_head)[0] if len(view) else b""
+    return compress_span(view, len(view))[0] if len(view) else b""
 
 
-def _no_head(length: int) -> bytes:
-    return b""
-
-
-def compress_span(data, chunk_size: int, head: Callable[[int], bytes]) -> list[bytes]:
+def compress_span(data, chunk_size: int) -> list[bytes]:
     """Encode `data` cut into pieces of `chunk_size` bytes, the last one
-    possibly shorter.  Returns one bytes object per piece: `head(n)`, then
-    the `n` bytes of `compress(piece)`, built in one join."""
+    possibly shorter.  Returns `compress(piece)` for each piece, each built
+    in one join."""
     view = memoryview(data).cast("B")
     group = max(1, _GROUP_BYTES // chunk_size) * chunk_size
     out: list[bytes] = []
@@ -97,13 +92,13 @@ def compress_span(data, chunk_size: int, head: Callable[[int], bytes]) -> list[b
         span = view[start : start + group]
         whole = len(span) - len(span) % chunk_size
         if whole:
-            out += _encode_pieces(span[:whole], chunk_size, head)
+            out += _encode_pieces(span[:whole], chunk_size)
         if whole < len(span):
-            out += _encode_pieces(span[whole:], len(span) - whole, head)
+            out += _encode_pieces(span[whole:], len(span) - whole)
     return out
 
 
-def _encode_pieces(view: memoryview, size: int, head: Callable[[int], bytes]) -> list[bytes]:
+def _encode_pieces(view: memoryview, size: int) -> list[bytes]:
     """`compress_span` of `view`, which holds whole pieces of `size` bytes."""
     k = len(view) // size
     pad = -size % _WORD
@@ -168,7 +163,7 @@ def _encode_pieces(view: memoryview, size: int, head: Callable[[int], bytes]) ->
         body = memoryview(body.view(np.uint8))
 
     # a piece without runs is one literal block
-    literal, literal_size = _control(_KIND_LITERAL, per, pad), 8 + per * _WORD + 4
+    literal = _control(_KIND_LITERAL, per, pad)
     out = []
     r = 0
     for p, runs in enumerate(has_runs.tolist()):
@@ -176,10 +171,10 @@ def _encode_pieces(view: memoryview, size: int, head: Callable[[int], bytes]) ->
         if runs:
             lo, hi = bounds[r], bounds[r + 1]
             r += 1
-            out.append(b"".join((head(hi - lo + 4), body[lo:hi], crc)))
+            out.append(b"".join((body[lo:hi], crc)))
         else:
             words_at = p * per * _WORD
-            out.append(b"".join((head(literal_size), literal, raw[words_at : words_at + per * _WORD], crc)))
+            out.append(b"".join((literal, raw[words_at : words_at + per * _WORD], crc)))
     return out
 
 

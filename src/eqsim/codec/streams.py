@@ -11,37 +11,43 @@ or the flush.  Chunk framing on the wire:
 
 What the sink receives, concatenated, is the framed chunk stream; a sink
 that needs the frames one by one joins its pieces and splits them with
-`iter_frames`.  A stream with an engine hands the sink one piece per
-framed chunk.  A stream without one hands it the chunk header and then
-the chunk, never concatenated, so whoever joins the pieces makes the
-only copy of the payload.  Every piece is `bytes` or a read-only view of
-memory that never changes: a chunk that lies in an immutable `bytes`, or
-in a buffer the stream has retired, goes as a view; a chunk of any other
-caller memory (bytearray, numpy array, writable memoryview) is copied
-during `write`, so a caller may reuse its buffer once `write` returns.
+`iter_frames`.  Every chunk reaches the sink as two pieces, never
+concatenated, so whoever joins the pieces makes the only copy of the
+payload: the 5-byte header as `bytes`, then the chunk.  With an engine
+the chunk is the `bytes` its `compress_span` returned; without one it is
+a read-only view of memory that never changes: a chunk that lies in an
+immutable `bytes`, or in a buffer the stream has retired, goes as a view
+of it, and a chunk of any other caller memory (bytearray, numpy array,
+writable memoryview) is copied during `write`, so a caller may reuse its
+buffer once `write` returns.
 
 No chunk is larger than MAX_CHUNK_SIZE (64 MiB): an OutputStream rejects
 a larger `chunk_size`, and the rle decoder rejects a chunk that would
 expand past it before it allocates.
 
-Multi-byte primitives are written little-endian by default; InputStream
-is told the writer's endianness and byte-swaps on input when it differs
-from the local order.
+Multi-byte primitives are little-endian on the wire, whatever the byte
+order of the host.
 """
 
 from __future__ import annotations
 
 import struct
-import sys
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..bytequeue import ByteQueue
-from .engines import WIRE_ID_NONE, CompressionEngine, get_engine_by_wire_id
+from .engines import WIRE_ID_NONE, CompressionEngine, chunkwise, get_engine_by_wire_id
 from .rle import MAX_CHUNK_SIZE
 
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
 _CHUNK_HEADER = struct.Struct("<IB")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+
+# without an engine a chunk goes out as it lies in the span
+_as_views = chunkwise(lambda chunk: chunk)
 
 
 class StreamError(Exception):
@@ -57,8 +63,8 @@ class UnderflowError(StreamError):
 
 
 def frame_chunk(payload: bytes, wire_id: int) -> bytes:
-    """One framed chunk.  An OutputStream hands its sink the same bytes,
-    as one piece with an engine and as two without."""
+    """One framed chunk.  An OutputStream hands its sink the same bytes as
+    two pieces, the header and then the payload."""
     return _CHUNK_HEADER.pack(len(payload), wire_id) + payload
 
 
@@ -102,34 +108,28 @@ class OutputStream:
         sink: Callable[[Union[bytes, memoryview]], None],
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         engine: Optional[CompressionEngine] = None,
-        endianness: str = "little",
     ):
         if not 1 <= chunk_size <= MAX_CHUNK_SIZE:
             raise ValueError(f"chunk_size must lie in 1..{MAX_CHUNK_SIZE}")
         self._sink = sink
         self.chunk_size = chunk_size
         self.engine = engine
-        wire_id = WIRE_ID_NONE if engine is None else engine.wire_id
-        self._head = lambda length: _CHUNK_HEADER.pack(length, wire_id)
+        self._wire_id = WIRE_ID_NONE if engine is None else engine.wire_id
+        self._code = _as_views if engine is None else engine.compress_span
         self._buffer = bytearray()
         self._closed = False
-        self._fmt = "<" if endianness == "little" else ">"
         self.bytes_written = 0
 
     def _emit(self, span: memoryview) -> None:
-        """Frame `span`, whole chunks and at most one partial one at its
-        end, and hand the sink the pieces.  Without an engine the chunks
+        """Cut `span` into whole chunks and at most one partial one at its
+        end, code them with the engine if there is one, and hand the sink
+        each chunk's header, then the chunk.  Without an engine the chunks
         go as views of `span`, which must be memory that never changes."""
-        if self.engine is None:
-            pieces = []
-            for start in range(0, len(span), self.chunk_size):
-                chunk = span[start : start + self.chunk_size]
-                pieces += (self._head(len(chunk)), chunk)
-        else:
-            pieces = self.engine.compress_span(span, self.chunk_size, self._head)
+        chunks = self._code(span, self.chunk_size)
         try:
-            for piece in pieces:
-                self._sink(piece)
+            for chunk in chunks:
+                self._sink(_CHUNK_HEADER.pack(len(chunk), self._wire_id))
+                self._sink(chunk)
         except Exception:
             self._closed = True  # sink failed, stream unusable
             raise
@@ -174,19 +174,19 @@ class OutputStream:
             self.flush()
             self._closed = True
 
-    # primitives, canonical little-endian unless constructed otherwise
+    # primitives, little-endian on the wire
 
     def write_u32(self, v: int) -> None:
-        self.write(struct.pack(self._fmt + "I", v))
+        self.write(_U32.pack(v))
 
     def write_u64(self, v: int) -> None:
-        self.write(struct.pack(self._fmt + "Q", v))
+        self.write(_U64.pack(v))
 
     def write_i64(self, v: int) -> None:
-        self.write(struct.pack(self._fmt + "q", v))
+        self.write(_I64.pack(v))
 
     def write_f64(self, v: float) -> None:
-        self.write(struct.pack(self._fmt + "d", v))
+        self.write(_F64.pack(v))
 
     def write_string(self, s: str) -> None:
         raw = s.encode("utf-8")
@@ -204,21 +204,12 @@ class InputStream:
     of the payloads.
     """
 
-    def __init__(
-        self,
-        source: Union[Iterable[bytes], Callable[[], Optional[bytes]]],
-        remote_endianness: str = "little",
-    ):
+    def __init__(self, source: Union[Iterable[bytes], Callable[[], Optional[bytes]]]):
         if callable(source):
             self._next_chunk = source
         else:
             it: Iterator[bytes] = iter(source)
             self._next_chunk = lambda: next(it, None)
-        if remote_endianness not in ("little", "big"):
-            raise ValueError(f"bad endianness {remote_endianness!r}")
-        self.remote_endianness = remote_endianness
-        self.swaps = remote_endianness != sys.byteorder
-        self._fmt = "<" if remote_endianness == "little" else ">"
         self._payloads = ByteQueue()  # decoded payloads not yet read
         self.position = 0  # logical bytes consumed
 
@@ -239,20 +230,20 @@ class InputStream:
         self.position += n
         return self._payloads.take(n)
 
-    def _unpack(self, code: str, size: int):
-        return struct.unpack(self._fmt + code, self.read(size))[0]
+    def _unpack(self, fmt: struct.Struct):
+        return fmt.unpack(self.read(fmt.size))[0]
 
     def read_u32(self) -> int:
-        return self._unpack("I", 4)
+        return self._unpack(_U32)
 
     def read_u64(self) -> int:
-        return self._unpack("Q", 8)
+        return self._unpack(_U64)
 
     def read_i64(self) -> int:
-        return self._unpack("q", 8)
+        return self._unpack(_I64)
 
     def read_f64(self) -> float:
-        return self._unpack("d", 8)
+        return self._unpack(_F64)
 
     def read_string(self) -> str:
         return self.read(self.read_u32()).decode("utf-8")

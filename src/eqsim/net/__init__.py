@@ -34,4 +34,3 @@ from .simnet import (
     SimStallError,
     SimTransport,
 )
-from .udp import RspUdpEndpoint, UdpMulticastTransport

@@ -29,7 +29,6 @@ class ConnectionDescription:
     protocol: str
     host: str = ""
     port: int = 0
-    interface: Optional[str] = None
 
     def __post_init__(self):
         if self.protocol not in (LOCAL_PIPE, TCP, RSP_MULTICAST):

@@ -25,8 +25,9 @@ space, so expansion against the receiver's expectation is unambiguous.
 
 The state machine is transport-agnostic and driven by `protocol_step`
 (incoming datagram) and `poll` (timers); it never blocks and holds no
-clock, so a deterministic simulation and a threaded UDP endpoint share
-the exact same protocol code.
+clock, so the deterministic simulator (simnet.py) drives it on virtual
+time.  `Datagram.encode` and `decode` give the wire format above as
+bytes.
 """
 
 from __future__ import annotations
@@ -161,9 +162,7 @@ class RspStats:
     acks_sent: int = 0
     acks_periodic: int = 0   # slot-cadence acks only, not ackreq responses
     nacks_sent: int = 0
-    ackreqs_sent: int = 0
     duplicates_dropped: int = 0
-    dropped_full: int = 0
     unknown_writer: int = 0
 
 
@@ -342,7 +341,6 @@ class RspMember:
             # a full delivery backlog withholds the ack and so throttles the
             # writer through the sliding window
             if reader.delivered.pieces >= self.cfg.num_buffers:
-                self.stats.dropped_full += 1
                 return
             reader.delivered.append(dgram.payload)
             reader.next_expected += 1
@@ -353,7 +351,6 @@ class RspMember:
                 reader.nack_due = None
         else:
             if len(reader.pending) >= self.cfg.num_buffers:
-                self.stats.dropped_full += 1
                 return
             reader.pending[seq] = dgram.payload
             # new gap: schedule an active nack
@@ -499,7 +496,6 @@ class RspMember:
                 self._next_ackreq = now + self._ack_timeout
             elif now >= self._next_ackreq:
                 out.append(Datagram(DatagramType.ACKREQ, self.id, self.next_seq - 1))
-                self.stats.ackreqs_sent += 1
                 self._next_ackreq = now + self._ack_timeout
                 for m in self.peers:
                     if self.acked[m] < self.next_seq - 1:

@@ -1,5 +1,4 @@
 from .base import (
-    VERSION_FIRST,
     VERSION_HEAD,
     VERSION_NONE,
     VERSION_OLDEST,

@@ -8,7 +8,6 @@ from enum import IntEnum
 from ..codec.streams import InputStream, OutputStream
 
 VERSION_NONE = 0
-VERSION_FIRST = 1
 # mapping sentinels, never valid concrete versions
 VERSION_OLDEST = -2
 VERSION_HEAD = -1

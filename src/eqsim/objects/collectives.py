@@ -9,7 +9,8 @@ the head of its payload and tells them of every lost peer, and only
 masters answer a locate.  A `timeout` bounds the whole call; a barrier
 entry fails at once with BarrierError when a participant leaves, a pop
 with QueueError when its queue's master is lost, and a queue hands the
-items a lost consumer did not get to the others.
+items whose send to a lost consumer failed to the others.  Items already
+sent into a lost consumer's prefetch buffer are lost with it.
 """
 
 from __future__ import annotations
@@ -135,7 +136,12 @@ class BarrierSlave:
 
 
 class DistributedQueue:
-    """Single-producer FIFO; items are handed to exactly one consumer."""
+    """Single-producer FIFO; items are handed to at most one consumer.
+
+    An item goes back to the head of the queue only when its send to a
+    lost consumer fails; items already in a lost consumer's prefetch
+    buffer are gone with it.
+    """
 
     def __init__(self, manager: ObjectManager):
         self.manager = manager

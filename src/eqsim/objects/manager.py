@@ -140,13 +140,11 @@ class ObjectManager:
         self._cond = threading.Condition(self._lock)
 
         self.counters = {
-            "instance_payloads_sent": 0,
             "instance_payloads_received": 0,
             "unicast_pushes": 0,
             "multicast_pushes": 0,
             "commits": 0,
             "bytes_pushed": 0,
-            "preloads_sent": 0,
         }
 
         node.register_handler(CMD_OBJ_LOCATE, self._on_locate)
@@ -200,7 +198,7 @@ class ObjectManager:
             push = self._push_form(obj, VERSION_NONE, KIND_INSTANCE, 0, obj.serialize_instance)
             self._masters[object_id] = _MasterEntry(obj, change_type, history=OrderedDict({VERSION_NONE: push}))
         if self.preload:
-            self.counters["preloads_sent"] += sum(self._send(CMD_OBJ_PUSH, push, self.node.peers))
+            self._send(CMD_OBJ_PUSH, push, self.node.peers)
         return object_id
 
     def _peer_ids(self) -> set:
@@ -446,8 +444,6 @@ class ObjectManager:
             catch_ups = [push for newer, push in entry.history.items() if newer > version]
             instance = entry.history[version]
             from_cache = version in cached
-            if not from_cache:
-                self.counters["instance_payloads_sent"] += 1
         reply = _MAP_REPLY.pack(version, entry.change_type, 0, from_cache)
         if not from_cache:
             reply += memoryview(instance)[_PUSH_HEAD.size :]

@@ -1,6 +1,5 @@
 import hashlib
 import struct
-import sys
 import tracemalloc
 
 import numpy as np
@@ -94,17 +93,15 @@ def test_sink_failure_makes_stream_unusable():
         out.write(b"x")
 
 
-def test_big_endian_u32_identity():
-    # a big-endian writer stored 0x01020304; reader returns the same value
-    chunks = []
-    out = OutputStream(chunks.append, endianness="big")
-    out.write_u32(0x01020304)
-    out.flush()
-    raw = InputStream(frames_of(chunks))
-    assert raw.read(4) == b"\x01\x02\x03\x04"
-    ins = InputStream(frames_of(chunks), remote_endianness="big")
-    assert ins.read_u32() == 0x01020304
-    assert ins.swaps == (sys.byteorder == "little")
+def test_primitives_are_little_endian_on_the_wire():
+    values = [("u32", "<I", 0x01020304), ("u64", "<Q", 0x0102030405060708), ("i64", "<q", -2), ("f64", "<d", 1.5)]
+    for kind, fmt, v in values:
+        chunks = []
+        out = OutputStream(chunks.append)
+        getattr(out, f"write_{kind}")(v)
+        out.flush()
+        assert InputStream(frames_of(chunks)).read(struct.calcsize(fmt)) == struct.pack(fmt, v)
+        assert getattr(InputStream(frames_of(chunks)), f"read_{kind}")() == v
 
 
 PRIMS = [
@@ -123,31 +120,30 @@ PRIMS = [
         min_size=1,
         max_size=50,
     ),
-    st.sampled_from(["little", "big"]),
 )
-def test_primitive_roundtrip_across_endianness(values, endianness):
+def test_primitive_roundtrip_across_endianness(values):
     chunks = []
-    out = OutputStream(chunks.append, chunk_size=32, endianness=endianness)
+    out = OutputStream(chunks.append, chunk_size=32)
     for kind, v in values:
         getattr(out, f"write_{kind}")(v)
     out.flush()
-    ins = InputStream(frames_of(chunks), remote_endianness=endianness)
+    ins = InputStream(frames_of(chunks))
     for kind, v in values:
         assert getattr(ins, f"read_{kind}")() == v
 
 
 def test_reference_encoder_oracle():
-    # independent encoder: plain struct packing in big-endian order
+    # independent encoder: plain struct packing in little-endian order
     import random
 
     rng = random.Random(42)
     values = [rng.getrandbits(32) for _ in range(1000)]
-    blob = b"".join(struct.pack(">I", v) for v in values)
+    blob = b"".join(struct.pack("<I", v) for v in values)
     chunks = []
     out = OutputStream(chunks.append, chunk_size=512)
     out.write(blob)
     out.flush()
-    ins = InputStream(frames_of(chunks), remote_endianness="big")
+    ins = InputStream(frames_of(chunks))
     assert [ins.read_u32() for _ in values] == values
 
 
@@ -202,15 +198,14 @@ def test_chunk_frames_pinned_for_mixed_writes(engine_name):
         for i in range(0, len(flat), 64)
     ]
     assert frames == expected
-    # an engine's frames come whole; without one, a header comes as bytes and
-    # its chunk as a read-only view of bytes or of the stream's own retired
-    # buffer, never of the caller's mutable memory
+    # every chunk comes as a 5-byte header in bytes, then the chunk: the
+    # engine's bytes, or without one a read-only view of bytes or of the
+    # stream's own retired buffer, never of the caller's mutable memory
+    assert len(pieces) == 2 * len(expected)
+    assert all(type(p) is bytes and len(p) == 5 for p in pieces[::2])
     if engine:
-        assert len(pieces) == len(expected)
-        assert all(type(p) is bytes for p in pieces)
+        assert all(type(p) is bytes for p in pieces[1::2])
     else:
-        assert len(pieces) == 2 * len(expected)
-        assert all(type(p) is bytes for p in pieces[::2])
         for chunk in pieces[1::2]:
             assert chunk.readonly
             assert isinstance(chunk.obj, bytes) or (
