@@ -197,25 +197,20 @@ class OutputStream:
 class InputStream:
     """Single-owner reader over a chunk producer.
 
-    `source` yields framed chunks (as `iter_frames` splits them out of
-    what an OutputStream's sink received); it may be any iterable, or a
-    callable returning the next chunk and None at end of stream.  Decoded
-    payloads wait in a `ByteQueue`, so a read copies its bytes once, out
-    of the payloads.
+    `source` is an iterable of framed chunks, as `iter_frames` splits
+    them out of what an OutputStream's sink received; the stream ends
+    where the iterable does.  Decoded payloads wait in a `ByteQueue`, so a
+    read copies its bytes once, out of the payloads.
     """
 
-    def __init__(self, source: Union[Iterable[bytes], Callable[[], Optional[bytes]]]):
-        if callable(source):
-            self._next_chunk = source
-        else:
-            it: Iterator[bytes] = iter(source)
-            self._next_chunk = lambda: next(it, None)
+    def __init__(self, source: Iterable[bytes]):
+        self._chunks = iter(source)
         self._payloads = ByteQueue()  # decoded payloads not yet read
         self.position = 0  # logical bytes consumed
 
     def _fill(self, n: int) -> None:
         while len(self._payloads) < n:
-            chunk = self._next_chunk()
+            chunk = next(self._chunks, None)
             if chunk is None:
                 raise UnderflowError(
                     f"need {n} bytes, {len(self._payloads)} buffered, source exhausted"

@@ -17,7 +17,6 @@ from .model import (
     EqualizerSpec,
     FrameSpec,
     Layout,
-    Observer,
     PhasePeriod,
     PixelParam,
     PixelRect,

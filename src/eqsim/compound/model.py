@@ -51,10 +51,14 @@ class Viewport:
         return self.w * self.h
 
     def to_pixels(self, width: int, height: int) -> "PixelRect":
-        x0 = round(self.x * width)
-        y0 = round(self.y * height)
-        x1 = round((self.x + self.w) * width)
-        y1 = round((self.y + self.h) * height)
+        """Round each edge to a pixel.  Composition reaches a shared edge of
+        two siblings by different float operations (`x + w` on one side, the
+        next `x` on the other), so each edge is first snapped to a 1e-9 grid:
+        edges that agree to nine digits land on one pixel."""
+        x0 = round(round(self.x, 9) * width)
+        y0 = round(round(self.y, 9) * height)
+        x1 = round(round(self.x + self.w, 9) * width)
+        y1 = round(round(self.y + self.h, 9) * height)
         return PixelRect(x0, y0, x1 - x0, y1 - y0)
 
 
@@ -261,7 +265,6 @@ class Canvas:
 class View:
     name: str = ""
     viewport: Viewport = FULL_VIEWPORT
-    observer: Optional[str] = None
 
 
 @dataclass
@@ -271,16 +274,10 @@ class Layout:
 
 
 @dataclass
-class Observer:
-    name: str = ""
-
-
-@dataclass
 class Config:
     latency: int = 1
     canvases: list[Canvas] = field(default_factory=list)
     layouts: list[Layout] = field(default_factory=list)
-    observers: list[Observer] = field(default_factory=list)
     compounds: list[Compound] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list, compare=False)
 

@@ -51,7 +51,6 @@ from .model import (
     EqualizerSpec,
     FrameSpec,
     Layout,
-    Observer,
     PhasePeriod,
     PixelParam,
     Range,
@@ -449,19 +448,14 @@ _CANVAS = _Schema(Canvas, "canvas", {
     "swapbarrier": _Row("swap_barrier", _flag, lambda key, value: [key + " {}"]),
     "segment": _child("segments", _SEGMENT, many=True),
 })
+# observers (head tracking, eye positions) are out of scope: parsed over
+# with a warning, not a failure
 _VIEW = _Schema(View, "view", {
     "name": _NAME,
     "viewport": _VIEWPORT,
-    "observer": _Row("observer", _text),
+    "observer": _Row(None, _ignore("observers are out of scope, view observer ignored")),
 })
 _LAYOUT = _Schema(Layout, "layout", {"name": _NAME, "view": _child("views", _VIEW, many=True)})
-# out-of-scope knobs are parsed over with a warning, not a failure
-_OUT_OF_SCOPE = _Row(None, _ignore("observer key {key!r} is out of scope, ignored"))
-_OBSERVER = _Schema(Observer, "observer", {
-    "name": _NAME,
-    **dict.fromkeys(("vrpn_tracker", "eye_left", "eye_right", "eye_cyclop", "focus_distance",
-                     "focus_mode", "eye_base", "wheel", "head"), _OUT_OF_SCOPE),
-})
 _FRAME = _Schema(FrameSpec, "frame", {
     "name": _NAME,
     "type": _Row(
@@ -493,7 +487,7 @@ _COMPOUND = _Schema(Compound, "compound", {
 })
 _CONFIG = _Schema(Config, "top-level", {
     "latency": _Row("latency", _integer),
-    "observer": _child("observers", _OBSERVER, many=True),
+    "observer": _Row(None, _ignore("observers are out of scope, observer block ignored")),
     "canvas": _child("canvases", _CANVAS, many=True),
     "layout": _child("layouts", _LAYOUT, many=True),
     "compound": _Row("compounds", _compound, _write_compound, many=True),

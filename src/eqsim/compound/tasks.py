@@ -2,14 +2,11 @@
 
 Walking a validated tree for a frame yields one render task per active
 leaf, with viewport, range, pixel and subpixel parameters composed along
-the path.  Split overrides (from the balancing equalizers) replace the
-static viewport or range of the addressed nodes.  Tile compounds emit no
-static tasks, and their tile consumers yield no tasks yet.
+the path.  Tile compounds emit no static tasks, and their tile consumers
+yield no tasks yet.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Union
 
 from .model import (
     Compound,
@@ -22,27 +19,20 @@ from .model import (
     Viewport,
 )
 
-Override = Union[Viewport, Range]
-
 
 def generate_tasks(
     compound: Compound,
     frame: int,
     resolution: tuple[int, int] = (1280, 720),
-    overrides: Optional[dict[int, Override]] = None,
 ) -> list[RenderTask]:
-    overrides = overrides or {}
     width, height = resolution
     tasks: list[RenderTask] = []
 
     def walk(node: Compound, vp: Viewport, rng: Range, px: PixelParam, sp: SubpixelParam) -> None:
         if not node.phase_period.active(frame):
             return
-        override = overrides.get(node.node_index)
-        node_vp = override if isinstance(override, Viewport) else node.viewport
-        node_rng = override if isinstance(override, Range) else node.range_
-        vp = vp.compose(node_vp)
-        rng = rng.compose(node_rng)
+        vp = vp.compose(node.viewport)
+        rng = rng.compose(node.range_)
         px = px.compose(node.pixel)
         sp = sp.compose(node.subpixel)
         if not node.is_leaf:

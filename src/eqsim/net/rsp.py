@@ -2,13 +2,20 @@
 
 Every group member owns one writer identity and reassembles the streams
 of all other members.  Reliability comes from negative acknowledgements:
-a receiver nacks missing sequence ranges as soon as a gap is detected,
-writers continuously retransmit nacked datagrams, and a sliding window of
-`num_buffers` in-flight datagrams throttles a writer until the whole
-group has acknowledged.  Receivers acknowledge every `ack_freq` fully
-received datagrams, staggered by their member id so the acks of a group
-do not burst.  Send pacing uses a token bucket whose rate adapts by
-additive increase / additive decrease.
+a receiver nacks missing sequence ranges NACK_DELAY after it detects a
+gap, writers retransmit nacked datagrams at most once per
+RETRANSMIT_INTERVAL each, and a sliding window of `num_buffers`
+in-flight datagrams throttles a writer until the whole group has
+acknowledged.  Receivers acknowledge every ACK_FREQ fully received
+datagrams, staggered by their member id so the acks of a group do not
+burst.  A writer blocked on unacknowledged data sends an ack request
+every ACK_TIMEOUT, and every member announces its last sequence every
+BEACON_INTERVAL.  Send pacing uses a token bucket of 16 datagrams whose
+rate starts at SEND_RATE_MAX and adapts by additive increase
+(RATE_INCREASE) / additive decrease (RATE_DECREASE) within
+[SEND_RATE_MIN, SEND_RATE_MAX].  These are module constants; only what
+a group is deployed with, or a test needs to reach a behaviour, is an
+`RspConfig` field.
 
 Wire format, little-endian:
 
@@ -112,35 +119,35 @@ def validate_nack_ranges(ranges: list[tuple[int, int]]) -> None:
         prev_last = last
 
 
+ACK_FREQ = 17               # fully received datagrams per periodic ack
+SEND_RATE_MIN = 1 << 20     # bytes/s
+SEND_RATE_MAX = 512 << 20
+RATE_INCREASE = 4 << 20     # additive steps, bytes/s
+RATE_DECREASE = 8 << 20
+NACK_DELAY = 1e-3           # seconds
+ACK_TIMEOUT = 10e-3
+RETRANSMIT_INTERVAL = 5e-3
+BEACON_INTERVAL = 50e-3
+
+
 @dataclass
 class RspConfig:
+    """The settings that stay per group.  `mtu` is the network's datagram
+    size and `members` the group's writer ids.  `num_buffers` (the window,
+    in datagrams) and `max_ack_timeouts` (consecutive stalls before a
+    member counts as lost) are small in tests that reach window stalls and
+    member loss.  Every other tunable is a module constant above."""
+
     mtu: int = 1470
     num_buffers: int = 1024
-    ack_freq: int = 17
-    send_rate_min: float = 1 << 20          # bytes/s
-    send_rate_max: float = 512 << 20
-    rate_increase: float = 4 << 20           # additive steps, bytes/s
-    rate_decrease: float = 8 << 20
-    bucket_capacity: float = 0.0             # bytes; 0 = 16 datagrams worth
-    nack_delay_ms: float = 1.0
-    ack_timeout_ms: float = 10.0
-    retransmit_interval_ms: float = 5.0
-    beacon_interval_ms: float = 50.0
-    max_ack_timeouts: int = 50               # consecutive stalls before member loss
+    max_ack_timeouts: int = 50
     members: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.mtu < 64:
             raise ValueError(f"mtu {self.mtu} below minimum of 64")
-        if self.num_buffers < 2 * self.ack_freq:
-            raise ValueError("num_buffers must be at least 2 * ack_freq")
-        for rate in (self.send_rate_min, self.send_rate_max, self.rate_increase, self.rate_decrease):
-            if rate <= 0:
-                raise ValueError("rates must be positive")
-        if self.send_rate_min > self.send_rate_max:
-            raise ValueError("send_rate_min above send_rate_max")
-        if not self.bucket_capacity:
-            self.bucket_capacity = 16.0 * self.mtu
+        if self.num_buffers < 2 * ACK_FREQ:
+            raise ValueError(f"num_buffers must be at least {2 * ACK_FREQ}")
         if len(set(self.members)) != len(self.members):
             raise ValueError("duplicate member ids")
         for m in self.members:
@@ -206,11 +213,6 @@ class RspMember:
         self.cfg = cfg
         self.peers = tuple(m for m in cfg.members if m != member_id)
 
-        self._nack_delay = cfg.nack_delay_ms / 1000.0
-        self._ack_timeout = cfg.ack_timeout_ms / 1000.0
-        self._retransmit_interval = cfg.retransmit_interval_ms / 1000.0
-        self._beacon_interval = cfg.beacon_interval_ms / 1000.0
-
         # writer side
         self._outq = ByteQueue()
         self.next_seq = 0
@@ -219,8 +221,8 @@ class RspMember:
         self.acked: dict[int, int] = {m: -1 for m in self.peers}
         self._retransmit_due: dict[int, float] = {}
         self._last_retransmit: dict[int, float] = {}
-        self.rate = cfg.send_rate_max
-        self.bucket = TokenBucket(cfg.bucket_capacity, self.rate, last_fill=now)
+        self.rate = SEND_RATE_MAX
+        self.bucket = TokenBucket(16.0 * cfg.mtu, self.rate, last_fill=now)
         self._send_wait_until: Optional[float] = None
         self._next_ackreq: Optional[float] = None
         self._stalls: dict[int, int] = {m: 0 for m in self.peers}
@@ -274,12 +276,7 @@ class RspMember:
 
     def _apply_congestion(self, event: str, now: float) -> None:
         self.rate = congestion_update(
-            self.rate,
-            event,
-            self.cfg.rate_increase,
-            self.cfg.rate_decrease,
-            self.cfg.send_rate_min,
-            self.cfg.send_rate_max,
+            self.rate, event, RATE_INCREASE, RATE_DECREASE, SEND_RATE_MIN, SEND_RATE_MAX
         )
         self.bucket.set_rate(self.rate, now)
 
@@ -355,7 +352,7 @@ class RspMember:
             reader.pending[seq] = dgram.payload
             # new gap: schedule an active nack
             if reader.nack_due is None:
-                reader.nack_due = now + self._nack_delay
+                reader.nack_due = now + NACK_DELAY
         self._maybe_ack(reader, writer, old_pos, out)
 
     def _gaps_exist(self, reader: _ReaderState) -> bool:
@@ -365,9 +362,8 @@ class RspMember:
         new_pos = reader.next_expected
         if new_pos == old_pos:
             return
-        r = self.id % self.cfg.ack_freq
-        f = self.cfg.ack_freq
-        if (new_pos - r) // f - (old_pos - r) // f > 0:
+        r = self.id % ACK_FREQ
+        if (new_pos - r) // ACK_FREQ - (old_pos - r) // ACK_FREQ > 0:
             self.stats.acks_periodic += 1
             out.append(self._make_ack(writer, reader))
 
@@ -395,7 +391,7 @@ class RspMember:
         ranges = self._missing_ranges(reader)
         if ranges:
             out.extend(self._make_nacks(writer, ranges))
-            reader.nack_due = now + self._ack_timeout
+            reader.nack_due = now + ACK_TIMEOUT
         if reader.next_expected > 0:
             out.append(self._make_ack(writer, reader))
 
@@ -439,7 +435,7 @@ class RspMember:
             last = expand_sequence(last, self.window_base)
             for seq in range(max(first, self.window_base), min(last, self.next_seq - 1) + 1):
                 if seq not in self._retransmit_due:
-                    floor = self._last_retransmit.get(seq, -1.0) + self._retransmit_interval
+                    floor = self._last_retransmit.get(seq, -1.0) + RETRANSMIT_INTERVAL
                     self._retransmit_due[seq] = max(now, floor)
                     needed = True
         if needed:
@@ -493,10 +489,10 @@ class RspMember:
             not self._outq or self.in_flight >= self.cfg.num_buffers
         ):
             if self._next_ackreq is None:
-                self._next_ackreq = now + self._ack_timeout
+                self._next_ackreq = now + ACK_TIMEOUT
             elif now >= self._next_ackreq:
                 out.append(Datagram(DatagramType.ACKREQ, self.id, self.next_seq - 1))
-                self._next_ackreq = now + self._ack_timeout
+                self._next_ackreq = now + ACK_TIMEOUT
                 for m in self.peers:
                     if self.acked[m] < self.next_seq - 1:
                         self._stalls[m] += 1
@@ -514,13 +510,13 @@ class RspMember:
                 if ranges and reader.buffered < self.cfg.num_buffers:
                     out.extend(self._make_nacks(writer, ranges))
                 if ranges:
-                    reader.nack_due = now + self._ack_timeout  # re-nack until filled
+                    reader.nack_due = now + ACK_TIMEOUT  # re-nack until filled
                 else:
                     reader.nack_due = None
 
         if now >= self._beacon_at:
             out.append(Datagram(DatagramType.BEACON, self.id, max(self.next_seq - 1, 0)))
-            self._beacon_at = now + self._beacon_interval
+            self._beacon_at = now + BEACON_INTERVAL
 
         return out
 

@@ -1,10 +1,13 @@
 """Deterministic multicast network simulation for the stream protocol.
 
 A SimTransport carries datagrams between the members of a group over a
-virtual clock, applying seeded loss, reordering, duplication and latency
-per receiver.  With a fixed seed the full datagram trace is bit-identical
-across runs, which makes protocol behaviour (ack cadence, retransmission
-ratios, window stalls) assertable in tests.
+virtual clock, applying seeded loss, reordering and duplication per
+receiver.  Every link has the same timing: a datagram arrives LATENCY
+plus up to JITTER after it was sent, a reordered one up to 4 * JITTER
+later still, and a duplicate up to JITTER after its original.  With a
+fixed seed the full datagram trace is bit-identical across runs, which
+makes protocol behaviour (ack cadence, retransmission ratios, window
+stalls) assertable in tests.
 
 Each endpoint owns an application-side sink per remote writer modelling
 the consuming application: by default it drains delivered data as fast as
@@ -50,6 +53,8 @@ from .rsp import (
 )
 
 _INF = float("inf")
+LATENCY = 100e-6  # seconds, every link
+JITTER = 20e-6
 
 
 class SimStallError(RspError):
@@ -65,15 +70,11 @@ class SimTransport:
         loss: float = 0.0,
         duplicate: float = 0.0,
         reorder: float = 0.0,
-        latency: float = 100e-6,
-        jitter: float = 20e-6,
     ):
         self.seed = seed
         self.loss = loss
         self.duplicate = duplicate
         self.reorder = reorder
-        self.latency = latency
-        self.jitter = jitter
         self.groups: dict[tuple[str, int], RspSimGroup] = {}
 
     def join(self, desc: ConnectionDescription, cfg: RspConfig, member_id: int) -> "RspSimEndpoint":
@@ -257,12 +258,12 @@ class RspSimGroup:
             if t.loss and self._rng.random() < t.loss:
                 self.trace.append(("lost", sender, receiver, dgram.type, dgram.sequence))
                 continue
-            delay = t.latency + t.jitter * self._rng.random()
+            delay = LATENCY + JITTER * self._rng.random()
             if t.reorder and self._rng.random() < t.reorder:
-                delay += 4.0 * t.jitter * self._rng.random()
+                delay += 4.0 * JITTER * self._rng.random()
             heapq.heappush(self._heap, (now + delay, next(self._counter), receiver, dgram))
             if t.duplicate and self._rng.random() < t.duplicate:
-                dup_delay = delay + t.jitter * self._rng.random()
+                dup_delay = delay + JITTER * self._rng.random()
                 self.trace.append(("dup", sender, receiver, dgram.type, dgram.sequence))
                 heapq.heappush(self._heap, (now + dup_delay, next(self._counter), receiver, dgram))
 
@@ -327,14 +328,6 @@ class RspSimGroup:
     def _check_failures(self) -> None:
         if self.failure is not None:
             raise MemberLostError(self.failure)
-
-    # --- aggregate metrics --------------------------------------------------
-
-    def retransmit_ratio(self) -> float:
-        sent = sum(m.stats.data_sent for m in self.members.values())
-        re = sum(m.stats.retransmitted for m in self.members.values())
-        total = sent + re
-        return re / total if total else 0.0
 
 
 class RspSimEndpoint:

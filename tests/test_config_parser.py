@@ -15,7 +15,6 @@ from eqsim.compound import (
     EqualizerSpec,
     FrameSpec,
     Layout,
-    Observer,
     PhasePeriod,
     PixelParam,
     Range,
@@ -303,7 +302,7 @@ canvases = st.builds(
     Canvas, texts, st.lists(segments, min_size=1, max_size=2), st.none() | walls,
     st.lists(texts, max_size=2), st.booleans(),
 )
-views = st.builds(View, texts, viewports, st.none() | texts)
+views = st.builds(View, texts, viewports)
 layouts = st.builds(Layout, texts, st.lists(views, min_size=1, max_size=2))
 
 
@@ -313,7 +312,6 @@ def configs(draw):
         latency=draw(st.integers(-2, 8)),
         canvases=draw(st.lists(canvases, max_size=2)),
         layouts=draw(st.lists(layouts, max_size=2)),
-        observers=draw(st.lists(st.builds(Observer, texts), max_size=2)),
         compounds=draw(st.lists(roots(), max_size=2)),
     )
     validate_config(cfg)  # numbers the compound nodes, as parsing does

@@ -260,20 +260,14 @@ def test_read_returns_bytes(engine_name):
     assert b"".join(reads) == data
 
 
-def test_underflow_with_callable_source_consumes_nothing():
-    pending = _frames(b"abcdefgh" * 3, 8)  # three chunks
-    source = lambda: pending.pop(0) if pending else None  # noqa: E731
-    ins = InputStream(source)
+def test_underflow_consumes_nothing():
+    ins = InputStream(_frames(b"abcdefgh" * 3, 8))  # three chunks
     assert ins.read(3) == b"abc"
     with pytest.raises(UnderflowError):
         ins.read(30)
     assert ins.position == 3
     assert ins.read(5) == b"defgh"
     assert ins.position == 8
-    # a live source delivers more later: the buffered bytes still come first
-    pending.extend(_frames(b"ijkl", 8))
-    assert ins.read(20) == b"abcdefgh" * 2 + b"ijkl"
-    assert ins.position == 28
 
 
 def test_chunk_size_is_bounded(monkeypatch):

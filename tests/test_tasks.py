@@ -4,12 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqsim.compound import (
+    BACKGROUND,
+    Compound,
     ConfigError,
+    Image,
     PixelRect,
+    Viewport,
+    composite,
     derive_channels,
     generate_tasks,
     make_tiles,
@@ -63,6 +68,63 @@ def test_display_wall_tasks_tile_destination_without_overlap(resolution):
     tasks = generate_tasks(compound, frame=0, resolution=resolution)
     assert [t.channel for t in tasks] == ["ch00", "ch10"]
     assert (coverage([t.viewport for t in tasks], *resolution) == 1).all()
+
+
+SPLIT_EDGES = """
+compound {
+  channel "dest"
+  viewport [ 0.1 0 0.9 1 ]
+  compound { channel "a" viewport [ 0 0 0.648 1 ] }
+  compound { channel "b" viewport [ 0.648 0 0.257 1 ] }
+  compound { channel "c" viewport [ 0.905 0 0.041 1 ] }
+  compound { channel "d" viewport [ 0.946 0 0.054 1 ] }
+}
+"""
+
+
+def test_siblings_round_a_shared_edge_to_one_pixel():
+    # the second child's right edge (its x + w) and the third child's x are
+    # one declared edge reached by different float operations; both must
+    # round to column 914, or the two tasks overlap and `composite` raises
+    compound = parse_config(SPLIT_EDGES).compounds[0]
+    tasks = generate_tasks(compound, frame=0, resolution=(1000, 100))
+    assert [(t.viewport.x, t.viewport.x + t.viewport.w) for t in tasks] == [
+        (100, 683), (683, 914), (914, 951), (951, 1000)
+    ]
+    inputs = []
+    for i, task in enumerate(tasks, start=1):
+        r = task.viewport
+        inputs.append((Image(r, np.full((r.h, r.w), i, dtype=np.int32), np.ones((r.h, r.w))), task))
+    out = composite(inputs, (1000, 100))
+    assert (out.values[:, :100] == BACKGROUND).all()
+    assert (out.values[:, 100:] != BACKGROUND).all()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.integers(0, 333),
+    st.lists(st.integers(1, 999), min_size=1, max_size=6, unique=True),
+    st.sampled_from([(1280, 720), (1920, 1080), (1000, 100), (641, 480)]),
+)
+def test_2d_split_leaves_tile_their_parent_in_pixels(offset, cuts, resolution):
+    # every edge on a 1/1000 grid, as a config file declares them
+    edges = [0, *sorted(cuts), 1000]
+    root = Compound(
+        channel="dest",
+        viewport=Viewport(offset / 1000, 0.0, (1000 - offset) / 1000, 1.0),
+        children=[
+            Compound(channel=f"s{i}", viewport=Viewport(a / 1000, 0.0, (b - a) / 1000, 1.0))
+            for i, (a, b) in enumerate(zip(edges, edges[1:]))
+        ],
+    )
+    parent = root.viewport.to_pixels(*resolution)
+    rects = [t.viewport for t in generate_tasks(root, frame=0, resolution=resolution)]
+    assert len(rects) == len(edges) - 1
+    x = parent.x
+    for r in rects:  # left to right, each starting where the last one ended
+        assert (r.x, r.y, r.h) == (x, parent.y, parent.h) and r.w >= 0
+        x += r.w
+    assert x == parent.x + parent.w
 
 
 @pytest.mark.parametrize("first", [0, 1, 2, 5, 100])
