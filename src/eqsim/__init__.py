@@ -7,7 +7,7 @@ deterministic network simulator to exercise the multicast protocol.
 
 Subpackages
 -----------
-codec      byte streams, chunking, compression engine registry
+codec      byte streams, chunking, compression engines
 net        unicast connections, the reliable multicast protocol, nodes
 objects    versioned master/slave objects, barriers, queues, object maps
 compound   config parsing, channel derivation, task generation, compositing
@@ -25,7 +25,6 @@ from .codec import (
     OutputStream,
     codec_benchmark,
     get_engine,
-    register_engine,
     registered_engines,
     rle_compress,
     rle_decompress,

@@ -4,7 +4,6 @@ from .engines import (
     UnknownEngineError,
     get_engine,
     get_engine_by_wire_id,
-    register_engine,
     registered_engines,
 )
 from .rle import MAX_OVERHEAD, RleDecodeError
@@ -29,7 +28,6 @@ __all__ = [
     "UnknownEngineError",
     "get_engine",
     "get_engine_by_wire_id",
-    "register_engine",
     "registered_engines",
     "MAX_OVERHEAD",
     "RleDecodeError",

@@ -1,22 +1,24 @@
-"""Compression engine registry.
+"""The compression engines.
 
-Engines are looked up by symbolic name (for configuration) or by their
-one-byte wire id (for chunk framing).  All engines are lossless and must
-be safe to call from multiple threads on distinct buffers; the built-ins
-hold no mutable state and keep no scratch buffers between calls.  Both
-directions take any bytes-like object (an OutputStream hands its engine
-views of the caller's data).  `compress` returns bytes; `decompress`
-returns bytes or a read-only view, never a view of a mutable input.
+The engines are one fixed table, looked up by symbolic name (for
+configuration) or by their one-byte wire id (for chunk framing).  A name
+that no engine has, or a wire id read from a chunk that none has, raises
+UnknownEngineError.  All engines are lossless and safe to call from
+multiple threads on distinct buffers: they hold no mutable state and keep
+no scratch buffers between calls.  Both directions take any bytes-like
+object (an OutputStream hands its engine views of the caller's data).
+`compress` returns bytes; `decompress` returns bytes or a read-only view,
+never a view of a mutable input.
 
 `compress_span(data, chunk_size)` compresses a span chunk by chunk, the
 last chunk possibly shorter, and returns one bytes object per chunk,
 equal to what `compress` makes of that chunk.  An OutputStream with an
 engine codes its chunks this way and frames each payload itself (see
-streams.py).  `rle` encodes a whole span in vectorized passes; an engine
-that gives no span entry runs its `compress` on each chunk.  No chunk is
+streams.py).  `rle` encodes a whole span in vectorized passes; `fast` and
+`ratio` run their `compress` on each chunk (`chunkwise`).  No chunk is
 larger than `rle.MAX_CHUNK_SIZE`.
 
-Built-in tiers:
+The tiers:
 
     rle    word-oriented run length (see rle.py)
     fast   dictionary coder tuned for speed (zlib level 1)
@@ -68,11 +70,7 @@ class CompressionEngine:
     wire_id: int
     compress: Callable[[bytes], bytes]
     decompress: Callable[[bytes], bytes]
-    compress_span: Optional[SpanCoder] = None  # None: `chunkwise(compress)`
-
-    def __post_init__(self):
-        if self.compress_span is None:
-            object.__setattr__(self, "compress_span", chunkwise(self.compress))
+    compress_span: SpanCoder
 
 
 @dataclass
@@ -87,26 +85,30 @@ class CompressorInfo:
     error: Optional[str] = None
 
 
-_registry: dict[str, CompressionEngine] = {}
-_by_wire_id: dict[int, CompressionEngine] = {}
+def _fast(data) -> bytes:
+    return zlib.compress(data, 1)
+
+
+def _ratio(data) -> bytes:
+    return lzma.compress(data, preset=1)
+
+
+_ENGINES = (
+    CompressionEngine("rle", 1, rle.compress, rle.decompress, rle.compress_span),
+    CompressionEngine("fast", 2, _fast, zlib.decompress, chunkwise(_fast)),
+    CompressionEngine("ratio", 3, _ratio, lzma.decompress, chunkwise(_ratio)),
+)
+_by_name = {engine.name: engine for engine in _ENGINES}
+_by_wire_id = {engine.wire_id: engine for engine in _ENGINES}
 
 
 class UnknownEngineError(KeyError):
     pass
 
 
-def register_engine(engine: CompressionEngine) -> None:
-    if engine.wire_id == WIRE_ID_NONE:
-        raise ValueError("wire id 0 is reserved for uncompressed chunks")
-    if engine.name in _registry or engine.wire_id in _by_wire_id:
-        raise ValueError(f"engine {engine.name!r}/{engine.wire_id} already registered")
-    _registry[engine.name] = engine
-    _by_wire_id[engine.wire_id] = engine
-
-
 def get_engine(name: str) -> CompressionEngine:
     try:
-        return _registry[name]
+        return _by_name[name]
     except KeyError:
         raise UnknownEngineError(name) from None
 
@@ -119,23 +121,4 @@ def get_engine_by_wire_id(wire_id: int) -> CompressionEngine:
 
 
 def registered_engines() -> list[CompressionEngine]:
-    return list(_registry.values())
-
-
-register_engine(CompressionEngine("rle", 1, rle.compress, rle.decompress, rle.compress_span))
-register_engine(
-    CompressionEngine(
-        "fast",
-        2,
-        lambda data: zlib.compress(data, 1),
-        zlib.decompress,
-    )
-)
-register_engine(
-    CompressionEngine(
-        "ratio",
-        3,
-        lambda data: lzma.compress(data, preset=1),
-        lzma.decompress,
-    )
-)
+    return list(_ENGINES)

@@ -62,7 +62,6 @@ class Image:
 
 @dataclass
 class CompositeStats:
-    inputs: int = 0
     bytes_transferred: int = 0
     roi_pixels: int = 0
 
@@ -90,8 +89,6 @@ def composite(
     subpixel_depth: Optional[np.ndarray] = None
 
     for image, task in inputs:
-        if stats is not None:
-            stats.inputs += 1
         roi = image.roi if image.roi is not None else image.compute_roi()
         if roi is None:
             continue  # nothing rendered; nothing transferred

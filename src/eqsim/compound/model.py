@@ -46,10 +46,6 @@ class Viewport:
             return None
         return Viewport(x0, y0, x1 - x0, y1 - y0)
 
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
     def to_pixels(self, width: int, height: int) -> "PixelRect":
         """Round each edge to a pixel.  Composition reaches a shared edge of
         two siblings by different float operations (`x + w` on one side, the
@@ -75,12 +71,15 @@ class Range:
             raise ConfigError(f"invalid range [{self.lo}, {self.hi}]")
 
     def compose(self, child: "Range") -> "Range":
-        span = self.hi - self.lo
-        return Range(self.lo + child.lo * span, self.lo + child.hi * span)
+        """Resolve a child range given relative to this one.  Each edge is
+        interpolated between this range's edges, so that a child edge at 0
+        or 1 lands exactly on this range's edge and the leaves of a split
+        over several levels meet without a gap or an overlap (at t = 1,
+        `lo + t * (hi - lo)` can miss `hi` by an ulp)."""
+        return Range(self._at(child.lo), self._at(child.hi))
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
+    def _at(self, t: float) -> float:
+        return (1.0 - t) * self.lo + t * self.hi
 
 
 FULL_RANGE = Range()
@@ -222,7 +221,6 @@ class Compound:
     pixel: PixelParam = IDENTITY_PIXEL
     subpixel: SubpixelParam = IDENTITY_SUBPIXEL
     phase_period: PhasePeriod = PhasePeriod()
-    eye: tuple[str, ...] = ()
     output_frames: list[FrameSpec] = field(default_factory=list)
     input_frames: list[FrameSpec] = field(default_factory=list)
     output_tiles: list[TileSpec] = field(default_factory=list)
@@ -239,9 +237,6 @@ class Compound:
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def leaves(self):
-        return [c for c in self.walk() if c.is_leaf]
 
 
 @dataclass

@@ -18,7 +18,12 @@ Errors: an unknown key is a warning in `Config.warnings`, never a failure,
 so configs written for richer implementations still load.  A known key
 whose value has the wrong shape (a word where an integer belongs, an array
 of the wrong length, a viewport outside the unit square) raises
-ConfigParseError at that key's line and column.
+ConfigParseError at that key's line and column.  Text outside the grammar
+raises ConfigParseError too: a `{`, `[` or `]` where a key belongs, a `}`
+or `]` where a value belongs, a `{`, `}` or `[` inside an array, an
+unbalanced `}` and a number too large for a float at that token; a key
+without a value and an unterminated array at the key; an unterminated
+string at its quote; and a missing `}` at the input's last token.
 
 Each block is declared once, as a table of key -> (attribute, reader,
 writer).  `parse_config` reads through the tables and `pretty_print`
@@ -41,7 +46,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .model import (
     Canvas,
@@ -73,12 +78,7 @@ class ConfigParseError(ConfigError):
 
 _TOKEN = re.compile(r'"[^"]*"?|[{}\[\]]|[^\s{}\[\]"]+|#[^\n]*')
 
-
-@dataclass
-class _Token:
-    text: str
-    line: int
-    col: int
+_Token = tuple[str, int, int]  # text, line, column
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -90,7 +90,7 @@ def _tokenize(text: str) -> list[_Token]:
                 break  # comment to end of line
             if tok[0] == '"' and (len(tok) == 1 or tok[-1] != '"'):
                 raise ConfigParseError("unterminated string", lineno, match.start() + 1)
-            tokens.append(_Token(tok, lineno, match.start() + 1))
+            tokens.append((tok, lineno, match.start() + 1))
     return tokens
 
 
@@ -114,8 +114,7 @@ _INT = re.compile(r"^[+-]?\d+$")
 _FLOAT = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+[eE][+-]?\d+|\d+\.\d*[eE][+-]?\d+)$")
 
 
-def _scalar(tok: _Token) -> Scalar:
-    text = tok.text
+def _scalar(text: str, line: int, col: int) -> Scalar:
     if text.startswith('"'):
         return text[1:-1]
     if _INT.match(text):
@@ -123,72 +122,47 @@ def _scalar(tok: _Token) -> Scalar:
     if _FLOAT.match(text):
         value = float(text)
         if math.isinf(value):
-            raise ConfigParseError(f"number {text} is too large", tok.line, tok.col)
+            raise ConfigParseError(f"number {text} is too large", line, col)
         return value
     return text  # bare word
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
+def _parse(tokens: Iterator[_Token], last: Optional[_Token], nested: bool) -> list[_Item]:
+    """The items read from `tokens` up to their end or, if `nested`, up to
+    the `}` that closes the block; a missing `}` is reported at `last`, the
+    input's last token."""
+    items = []
+    for key, line, col in tokens:
+        if key == "}":
+            if not nested:
+                raise ConfigParseError("unbalanced closing brace", line, col)
+            return items
+        if key in ("{", "[", "]"):
+            raise ConfigParseError(f"expected a key, found {key!r}", line, col)
+        tok = next(tokens, None)
         if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", 1, 1)
-            raise ConfigParseError("unexpected end of input", last.line, last.col)
-        self.pos += 1
-        return tok
-
-    def parse_items(self, until_brace: bool) -> list[_Item]:
-        items = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                if until_brace:
-                    raise ConfigParseError("missing closing brace", *self._here())
-                return items
-            if tok.text == "}":
-                if not until_brace:
-                    raise ConfigParseError("unbalanced closing brace", tok.line, tok.col)
-                self.next()
-                return items
-            if tok.text in ("{", "[", "]"):
-                raise ConfigParseError(f"expected a key, found {tok.text!r}", tok.line, tok.col)
-            key = self.next()
-            items.append(self.parse_value(key))
-
-    def _here(self) -> tuple[int, int]:
-        tok = self.tokens[-1] if self.tokens else None
-        return (tok.line, tok.col) if tok else (1, 1)
-
-    def parse_value(self, key: _Token) -> _Item:
-        tok = self.peek()
-        if tok is None:
-            raise ConfigParseError(f"key {key.text!r} has no value", key.line, key.col)
-        if tok.text == "{":
-            self.next()
-            return _Item(key.text, _Block(self.parse_items(until_brace=True)), key.line, key.col)
-        if tok.text == "[":
-            self.next()
-            values = []
-            while True:
-                tok = self.peek()
-                if tok is None:
-                    raise ConfigParseError("unterminated array", key.line, key.col)
-                if tok.text == "]":
-                    self.next()
-                    return _Item(key.text, values, key.line, key.col)
-                if tok.text in ("{", "}", "["):
-                    raise ConfigParseError(
-                        f"malformed array element {tok.text!r}", tok.line, tok.col
-                    )
-                values.append(_scalar(self.next()))
-        return _Item(key.text, _scalar(self.next()), key.line, key.col)
+            raise ConfigParseError(f"key {key!r} has no value", line, col)
+        text = tok[0]
+        if text == "{":
+            value = _Block(_parse(tokens, last, nested=True))
+        elif text == "[":
+            value = []
+            for elem in tokens:
+                if elem[0] == "]":
+                    break
+                if elem[0] in ("{", "}", "["):
+                    raise ConfigParseError(f"malformed array element {elem[0]!r}", elem[1], elem[2])
+                value.append(_scalar(*elem))
+            else:
+                raise ConfigParseError("unterminated array", line, col)
+        elif text in ("}", "]"):
+            raise ConfigParseError(f"key {key!r} has no value, found {text!r}", tok[1], tok[2])
+        else:
+            value = _scalar(*tok)
+        items.append(_Item(key, value, line, col))
+    if nested:
+        raise ConfigParseError("missing closing brace", last[1], last[2])
+    return items
 
 
 # --- the block tables -----------------------------------------------------------
@@ -279,11 +253,6 @@ def _build(item: _Item, cls, *args, **kwargs):
 def _model(cls, read: _Reader) -> _Reader:
     """A reader building `cls` from the values `read` returns."""
     return lambda item, warnings: _build(item, cls, *read(item, warnings))
-
-
-def _words(item: _Item, warnings: list[str]) -> tuple[str, ...]:
-    values = item.value if isinstance(item.value, list) else [_text(item, warnings)]
-    return tuple(str(v) for v in values)
 
 
 def _flag(item: _Item, warnings: list[str]) -> bool:
@@ -472,7 +441,7 @@ _COMPOUND = _Schema(Compound, "compound", {
     "range": _Row("range_", _model(Range, _numbers(2))),
     "pixel": _Row("pixel", _model(PixelParam, _integers(4))),
     "subpixel": _Row("subpixel", _model(SubpixelParam, _integers(2))),
-    "eye": _Row("eye", _words),
+    "eye": _Row(None, _ignore("stereo is out of scope, compound eye ignored")),
     "outputtiles": _child("output_tiles", _TILES, many=True),
     "inputtiles": _Row(
         "input_tiles",
@@ -495,7 +464,8 @@ _CONFIG = _Schema(Config, "top-level", {
 
 
 def parse_config(text: str) -> Config:
-    items = _Parser(_tokenize(text)).parse_items(until_brace=False)
+    tokens = _tokenize(text)
+    items = _parse(iter(tokens), tokens[-1] if tokens else None, nested=False)
     warnings: list[str] = []
     values = _fill(_CONFIG, _Item("config", _Block(items), 1, 1), warnings, _config_code)
     config = Config(**values, warnings=warnings)

@@ -52,9 +52,11 @@ class DistributedObject:
     """Base for replicated state; subclasses implement serialization.
 
     The master instance is registered on one node and generates versions on
-    commit; slave instances map the id elsewhere and advance via sync.  By
-    default deltas fall back to full instance data, and a commit carries
-    `dirty_mask` to the slaves' `apply_delta`.
+    commit; slave instances map the id elsewhere and advance via sync.  A
+    subclass implements `serialize_instance` and `deserialize_instance`.  A
+    DELTA commit writes `serialize_delta` and carries `dirty_mask` to the
+    slaves' `apply_delta(stream, mask)`; by default the delta is the full
+    instance data, which `apply_delta` reads with `deserialize_instance`.
     """
 
     dirty_mask = 0
@@ -76,11 +78,8 @@ class DistributedObject:
     def serialize_delta(self, stream: OutputStream) -> None:
         self.serialize_instance(stream)
 
-    def deserialize_delta(self, stream: InputStream) -> None:
-        self.deserialize_instance(stream)
-
     def apply_delta(self, stream: InputStream, mask: int) -> None:
-        self.deserialize_delta(stream)
+        self.deserialize_instance(stream)
 
     def is_dirty(self) -> bool:
         return True

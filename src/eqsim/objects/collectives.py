@@ -7,7 +7,8 @@ consumers enter themselves in the manager's collective table of the
 command they take; the manager hands them each such command by the id at
 the head of its payload and tells them of every lost peer, and only
 masters answer a locate.  A `timeout` bounds the whole call; a barrier
-entry fails at once with BarrierError when a participant leaves, a pop
+entry fails at once with BarrierError once a participant that has entered
+any round is lost, whether mid-round or between rounds, a pop
 with QueueError when its queue's master is lost, and a queue hands the
 items whose send to a lost consumer failed to the others.  Items already
 sent into a lost consumer's prefetch buffer are lost with it.
@@ -57,7 +58,7 @@ class BarrierMaster:
         self.height = height
         self._lock = threading.Lock()
         self._rounds: dict[int, list] = {}   # round -> waiter list
-        self._entered: dict[int, set] = {}   # round -> participant ids seen
+        self._entered: set = set()           # every participant id that has entered
         self._local_round = 0
         self._failed: Optional[str] = None
         manager.collectives[CMD_BARRIER_ENTER][self.barrier_id] = self
@@ -73,11 +74,10 @@ class BarrierMaster:
                 return
             waiters = self._rounds.setdefault(round_no, [])
             waiters.append((reply, reply_error))
-            self._entered.setdefault(round_no, set()).add(peer)
+            self._entered.add(peer)
             if len(waiters) < self.height:
                 return
             done = self._rounds.pop(round_no)
-            self._entered.pop(round_no, None)
         for ok, _ in done:
             try:
                 ok(b"")
@@ -103,13 +103,11 @@ class BarrierMaster:
 
     def _peer_lost(self, peer: RemoteNode) -> None:
         with self._lock:
-            affected = any(peer.node_id in seen for seen in self._entered.values())
-            if not affected:
+            if peer.node_id not in self._entered:
                 return
             self._failed = f"barrier participant {peer.node_id} disconnected"
             pending = [w for ws in self._rounds.values() for w in ws]
             self._rounds.clear()
-            self._entered.clear()
         for _, err in pending:
             try:
                 err(self._failed)

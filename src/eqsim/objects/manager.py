@@ -5,9 +5,10 @@ slave on that node.  Mapping is a slave-triggered pull: the slave locates
 the master among its connected peers and requests instance data (or
 confirms a cached copy).  Commits are master-triggered pushes: delta or
 instance payloads are queued on the slaves and applied when the
-application syncs.  A `timeout` bounds the whole call; a sync or blocking
-commit fails at once with SlaveDisconnectedError when the node it waits on
-is lost.
+application syncs.  A `timeout` bounds the whole call.  A sync fails at
+once with SlaveDisconnectedError when its master's node is lost; a slave
+whose node is lost stops counting, so a commit blocked on it goes ahead at
+once.
 
 Every object-layer command reaches its handler through the node's
 dispatch, whether a peer connection or the multicast hub carried it.  A
@@ -201,9 +202,6 @@ class ObjectManager:
             self._send(CMD_OBJ_PUSH, push, self.node.peers)
         return object_id
 
-    def _peer_ids(self) -> set:
-        return {p.node_id for p in self.node.peers}
-
     # --- mapping (slave side) -------------------------------------------------
 
     def map_object(
@@ -318,14 +316,8 @@ class ObjectManager:
                 if entry.version + 1 - slave.synced > max_queued
             ]
 
-        def gone_slaves():
-            return [n for n in blocked_slaves() if n not in self._peer_ids()]
-
-        if not self._cond.wait_for(lambda: not blocked_slaves() or gone_slaves(), timeout):
+        if not self._cond.wait_for(lambda: not blocked_slaves(), timeout):
             raise TimeoutError(f"commit blocked on slaves {blocked_slaves()}")
-        gone = gone_slaves()
-        if gone:
-            raise SlaveDisconnectedError(f"slaves disconnected while blocking commit: {gone}")
 
     def _push(self, payload: bytes, peers: list[RemoteNode]) -> None:
         if not peers:

@@ -61,15 +61,12 @@ class Serializable(DistributedObject):
 
     # --- manager integration ------------------------------------------------
 
-    def all_bits(self) -> int:
-        return type(self).DIRTY_BITS
-
     def serialize_instance(self, stream: OutputStream) -> None:
         # object mapping passes all dirty bits
-        self.serialize(stream, self.all_bits())
+        self.serialize(stream, type(self).DIRTY_BITS)
 
     def deserialize_instance(self, stream: InputStream) -> None:
-        self.deserialize(stream, self.all_bits())
+        self.deserialize(stream, type(self).DIRTY_BITS)
 
     def serialize_delta(self, stream: OutputStream) -> None:
         self._validate(self._dirty)

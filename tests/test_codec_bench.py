@@ -12,6 +12,7 @@ from eqsim.codec import (
     get_engine,
     registered_engines,
 )
+from eqsim.codec.engines import chunkwise
 
 
 def test_roundtrip_identity_all_engines():
@@ -96,7 +97,7 @@ def test_failing_engine_reported_not_raised():
     def boom(data):
         raise RuntimeError("no codec for you")
 
-    broken = CompressionEngine("broken", 250, boom, boom)
+    broken = CompressionEngine("broken", 250, boom, boom, chunkwise(boom))
     rows = codec_benchmark(builtin_corpus("zero", buffers=1), engines=[broken])
     assert rows[0].failed
     assert "no codec" in rows[0].error

@@ -108,6 +108,25 @@ def test_barrier_participant_disconnect_errors_remaining():
         assert any("disconnected" in e for e in errors)
 
 
+def test_barrier_participant_lost_between_rounds_fails_the_next_round_at_once():
+    with Cluster(3) as c:
+        master = BarrierMaster(c.managers[0], height=3)
+        s1 = BarrierSlave(c.managers[1], master.barrier_id)
+        s2 = BarrierSlave(c.managers[2], master.barrier_id)
+        threads = [threading.Thread(target=s.enter, args=(10,)) for s in (s1, s2)]
+        for t in threads:
+            t.start()
+        master.enter(timeout=10)  # round 0 completes
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        c.nodes[2].close()  # s2 leaves before round 1
+        t0 = time.monotonic()
+        with pytest.raises(BarrierError, match="disconnected"):
+            s1.enter(timeout=2)
+        assert time.monotonic() - t0 < 1
+
+
 def test_queue_single_consumer_fifo():
     with Cluster(2) as c:
         q = DistributedQueue(c.managers[0])

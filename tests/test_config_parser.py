@@ -111,11 +111,24 @@ def test_observer_vr_keys_warn():
     assert any("out of scope" in w for w in cfg.warnings)
 
 
+def test_stereo_eye_warns_and_is_dropped():
+    cfg = parse_config('compound { channel "c" eye [ LEFT RIGHT ] }')
+    assert any("out of scope" in w and "eye" in w for w in cfg.warnings)
+    assert cfg.compounds[0] == Compound(channel="c", node_index=0)
+
+
 def test_unbalanced_braces_error_position():
     with pytest.raises(ConfigParseError, match="line"):
         parse_config('compound { channel "c" ')
     with pytest.raises(ConfigParseError):
         parse_config("compound { } }")
+
+
+@pytest.mark.parametrize("closer", ["}", "]"])
+def test_closer_where_a_value_belongs_fails_at_the_closer(closer):
+    with pytest.raises(ConfigParseError, match="has no value") as err:
+        parse_config(f"compound {{\n  channel {closer} }}")
+    assert (err.value.line, err.value.col) == (2, 11)
 
 
 def test_malformed_array_rejected():
@@ -270,7 +283,6 @@ def compounds(draw, depth=0, phase_period=PhasePeriod()):
         pixel=draw(pixels()),
         subpixel=draw(subpixels()),
         phase_period=phase_period,
-        eye=tuple(draw(st.lists(bare_words | texts, max_size=2))),
         equalizers=draw(st.lists(equalizers, max_size=2)),
     )
     if depth < 2 and draw(st.booleans()):

@@ -25,6 +25,7 @@ from eqsim.objects import (
     NotMasterError,
     ObjectError,
     ObjectManager,
+    SlaveDisconnectedError,
     VersionError,
 )
 from eqsim.objects.manager import _PUSH_HEAD, CMD_OBJ_LOCATE, CMD_OBJ_MAP, CMD_OBJ_PUSH, CMD_OBJ_TOKEN
@@ -652,6 +653,57 @@ def test_unmap_releases_blocked_commit(pair):
     m1.unmap_object(slave)
     t.join(timeout=1)
     assert state.get("v") == 2
+
+
+def test_lost_slave_releases_blocked_commit(pair):
+    m0, m1 = pair.managers
+    master = Doc()
+    oid = m0.register_object(master, ChangeType.DELTA)
+    m1.map_object(Doc(), oid)  # never syncs
+    master.set_dirty(Doc.DIRTY_COUNT)
+    assert m0.commit(master, max_queued=1, timeout=5) == 1
+    state = {}
+
+    def blocked_commit():
+        master.set_dirty(Doc.DIRTY_COUNT)
+        state["v"] = m0.commit(master, max_queued=1, timeout=5)
+
+    t = threading.Thread(target=blocked_commit, daemon=True)
+    t.start()
+    time.sleep(0.1)
+    assert "v" not in state
+    pair.nodes[1].close()
+    t0 = time.monotonic()
+    t.join(timeout=5)
+    assert not t.is_alive()
+    assert time.monotonic() - t0 < 1
+    assert state.get("v") == 2  # the lost slave no longer counts
+
+
+def test_sync_fails_at_once_when_the_master_is_lost(pair):
+    m0, m1 = pair.managers
+    master = Doc()
+    oid = m0.register_object(master, ChangeType.DELTA)
+    slave = Doc()
+    m1.map_object(slave, oid)
+    errors = []
+
+    def waiter():
+        try:
+            m1.sync(slave, 1, timeout=5)
+        except SlaveDisconnectedError as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=waiter, daemon=True)
+    t.start()
+    time.sleep(0.1)
+    assert t.is_alive()
+    pair.nodes[0].close()
+    t0 = time.monotonic()
+    t.join(timeout=5)
+    assert not t.is_alive()
+    assert time.monotonic() - t0 < 1
+    assert len(errors) == 1
 
 
 def test_multicast_commit_single_payload(engine):

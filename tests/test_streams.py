@@ -14,10 +14,13 @@ from eqsim.codec import (
     RleDecodeError,
     StreamClosedError,
     UnderflowError,
+    UnknownEngineError,
     frame_chunk,
     get_engine,
+    registered_engines,
     rle_compress,
     rle_decompress,
+    unframe_chunk,
 )
 from eqsim.codec import rle
 from eqsim.codec.streams import iter_frames
@@ -35,6 +38,15 @@ def roundtrip(data: bytes, chunk_size: int, engine=None) -> bytes:
     out.flush()
     ins = InputStream(frames_of(chunks))
     return ins.read(len(data))
+
+
+def test_engine_table_and_unknown_engines():
+    # the wire ids are part of the chunk format
+    assert [(e.name, e.wire_id) for e in registered_engines()] == [("rle", 1), ("fast", 2), ("ratio", 3)]
+    with pytest.raises(UnknownEngineError):
+        get_engine("zstd")
+    with pytest.raises(UnknownEngineError, match="wire id 9"):
+        unframe_chunk(frame_chunk(b"data", 9))
 
 
 def test_write_zero_bytes_emits_nothing():

@@ -13,6 +13,7 @@ from eqsim.compound import (
     ConfigError,
     Image,
     PixelRect,
+    Range,
     Viewport,
     composite,
     derive_channels,
@@ -125,6 +126,74 @@ def test_2d_split_leaves_tile_their_parent_in_pixels(offset, cuts, resolution):
         assert (r.x, r.y, r.h) == (x, parent.y, parent.h) and r.w >= 0
         x += r.w
     assert x == parent.x + parent.w
+
+
+def grid_cuts(draw, max_cuts: int = 3) -> list[int]:
+    """Ascending edges 0, ..., 1000 of a split on the 1/1000 grid."""
+    cuts = draw(st.lists(st.integers(1, 999), min_size=1, max_size=max_cuts, unique=True))
+    return [0, *sorted(cuts), 1000]
+
+
+@st.composite
+def split_trees_2d(draw, depth=0):
+    """A compound whose children split its viewport into strips along x or
+    y, each child possibly split again, down to 3 levels."""
+    node = Compound(channel=f"c{depth}")
+    if depth == 3 or (depth > 0 and draw(st.booleans())):
+        return node
+    edges = grid_cuts(draw)
+    along_x = draw(st.booleans())
+    for a, b in zip(edges, edges[1:]):
+        child = draw(split_trees_2d(depth + 1))
+        lo, size = a / 1000, (b - a) / 1000
+        child.viewport = Viewport(lo, 0.0, size, 1.0) if along_x else Viewport(0.0, lo, 1.0, size)
+        node.children.append(child)
+    return node
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    split_trees_2d(),
+    st.integers(0, 333),
+    st.integers(0, 333),
+    st.sampled_from([(1280, 720), (1920, 1080), (1000, 100), (641, 480)]),
+)
+def test_multi_level_2d_split_leaves_tile_the_root_in_pixels(root, x, y, resolution):
+    root.viewport = Viewport(x / 1000, y / 1000, (1000 - x) / 1000, (1000 - y) / 1000)
+    parent = root.viewport.to_pixels(*resolution)
+    rects = [t.viewport for t in generate_tasks(root, frame=0, resolution=resolution)]
+    assert len(rects) == sum(1 for node in root.walk() if node.is_leaf)
+    assert all(r.w >= 0 and r.h >= 0 for r in rects)
+    count = coverage([r for r in rects if r.area], *resolution)
+    inside = count[parent.y : parent.y + parent.h, parent.x : parent.x + parent.w]
+    assert (inside == 1).all()  # no gap and no overlap
+    assert count.sum() == parent.area  # nothing outside the root
+
+
+@st.composite
+def split_trees_db(draw, depth=0):
+    """A compound whose children split its range, each child possibly split
+    again, down to 3 levels."""
+    node = Compound(channel=f"c{depth}")
+    if depth == 3 or (depth > 0 and draw(st.booleans())):
+        return node
+    edges = grid_cuts(draw)
+    for a, b in zip(edges, edges[1:]):
+        child = draw(split_trees_db(depth + 1))
+        child.range_ = Range(a / 1000, b / 1000)
+        node.children.append(child)
+    return node
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_trees_db())
+def test_multi_level_db_split_leaf_ranges_tile_the_unit_range(root):
+    ranges = [t.range_ for t in generate_tasks(root, frame=0)]
+    assert len(ranges) == sum(1 for node in root.walk() if node.is_leaf)
+    ordered = sorted(ranges, key=lambda r: r.lo)
+    assert ordered[0].lo == 0.0 and ordered[-1].hi == 1.0
+    for left, right in zip(ordered, ordered[1:]):
+        assert left.hi == right.lo  # each depth belongs to exactly one leaf
 
 
 @pytest.mark.parametrize("first", [0, 1, 2, 5, 100])
