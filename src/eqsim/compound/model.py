@@ -99,9 +99,11 @@ class PixelParam:
             raise ConfigError(f"pixel offsets out of bounds: {self}")
 
     def compose(self, child: "PixelParam") -> "PixelParam":
+        """The child splits the pixels this one owns, as Equalizer's
+        `Pixel::apply` does, so each pixel keeps one owner."""
         return PixelParam(
-            self.x_offset * child.x_count + child.x_offset,
-            self.y_offset * child.y_count + child.y_offset,
+            self.x_offset + child.x_offset * self.x_count,
+            self.y_offset + child.y_offset * self.y_count,
             self.x_count * child.x_count,
             self.y_count * child.y_count,
         )

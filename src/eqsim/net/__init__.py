@@ -1,4 +1,4 @@
-from .bucket import ADVANCE_OK, RETRANSMIT_NEEDED, TokenBucket, congestion_update
+from .bucket import TokenBucket
 from .connection import (
     LOCAL_PIPE,
     RSP_MULTICAST,

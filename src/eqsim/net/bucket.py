@@ -1,19 +1,13 @@
-"""Send-rate limiting: token bucket and additive-increase/additive-decrease.
+"""Send-rate limiting: a token bucket.
 
 The bucket fills with send credits (bytes) at `fill_rate`; sends deduct
 credits, and a sender with insufficient credits learns exactly how long
-to sleep.  Rate adaptation is deliberately additive in both directions:
-datagram loss on a LAN is usually a switch enforcing a rate limit, so
-backing off gently keeps the sender near that limit.
+to sleep.  How a sender adapts the rate is its own rule (see rsp.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-ADVANCE_OK = "advanceOk"
-RETRANSMIT_NEEDED = "retransmitNeeded"
-
 
 @dataclass
 class TokenBucket:
@@ -51,19 +45,3 @@ class TokenBucket:
     def set_rate(self, fill_rate: float, now: float) -> None:
         self._refill(now)
         self.fill_rate = fill_rate
-
-
-def congestion_update(
-    rate: float,
-    event: str,
-    rate_increase: float,
-    rate_decrease: float,
-    rate_min: float,
-    rate_max: float,
-) -> float:
-    """One additive congestion step; the result stays within [min, max]."""
-    if event == ADVANCE_OK:
-        return min(rate + rate_increase, rate_max)
-    if event == RETRANSMIT_NEEDED:
-        return max(rate - rate_decrease, rate_min)
-    raise ValueError(f"unknown congestion event {event!r}")

@@ -10,12 +10,20 @@ acknowledged.  Receivers acknowledge every ACK_FREQ fully received
 datagrams, staggered by their member id so the acks of a group do not
 burst.  A writer blocked on unacknowledged data sends an ack request
 every ACK_TIMEOUT, and every member announces its last sequence every
-BEACON_INTERVAL.  Send pacing uses a token bucket of 16 datagrams whose
-rate starts at SEND_RATE_MAX and adapts by additive increase
-(RATE_INCREASE) / additive decrease (RATE_DECREASE) within
-[SEND_RATE_MIN, SEND_RATE_MAX].  These are module constants; only what
-a group is deployed with, or a test needs to reach a behaviour, is an
-`RspConfig` field.
+BEACON_INTERVAL.
+
+Send pacing: every DATA datagram, fresh or retransmitted, first takes
+its size in credits from a token bucket of 16 datagrams.  When the
+credits are short, the whole send path waits until the bucket holds
+them.  The bucket's rate starts at SEND_RATE_MAX.  An ack that slides
+the window raises it by RATE_INCREASE, and a nack that schedules a
+retransmission lowers it by RATE_DECREASE, within [SEND_RATE_MIN,
+SEND_RATE_MAX].  The rule is additive in both directions because loss on
+a LAN is usually a switch enforcing a rate limit: backing off gently
+keeps the writer near that limit.
+
+These tunables are module constants; only what a group is deployed
+with, or a test needs to reach a behaviour, is an `RspConfig` field.
 
 Wire format, little-endian:
 
@@ -45,7 +53,7 @@ from enum import IntEnum
 from typing import Optional
 
 from ..bytequeue import ByteQueue
-from .bucket import ADVANCE_OK, RETRANSMIT_NEEDED, TokenBucket, congestion_update
+from .bucket import TokenBucket
 
 HEADER = struct.Struct("<BBHI")
 HEADER_SIZE = HEADER.size  # 8
@@ -182,16 +190,14 @@ class _ReaderState:
         "delivered",
         "tail",
         "nack_due",
-        "last_heard",
     )
 
-    def __init__(self, now: float):
+    def __init__(self):
         self.next_expected = 0
         self.pending: dict[int, bytes] = {}
         self.delivered = ByteQueue()  # in-order payloads not yet consumed
         self.tail = -1          # highest sequence known to exist
         self.nack_due: Optional[float] = None
-        self.last_heard = now
 
     @property
     def buffered(self) -> int:
@@ -229,7 +235,7 @@ class RspMember:
         self._beacon_at = now  # announce immediately on join
 
         # reader side
-        self.readers: dict[int, _ReaderState] = {m: _ReaderState(now) for m in self.peers}
+        self.readers: dict[int, _ReaderState] = {m: _ReaderState() for m in self.peers}
 
         self.stats = RspStats()
         self.max_in_flight = 0
@@ -274,11 +280,18 @@ class RspMember:
         self.window_base = new_base
         return True
 
-    def _apply_congestion(self, event: str, now: float) -> None:
-        self.rate = congestion_update(
-            self.rate, event, RATE_INCREASE, RATE_DECREASE, SEND_RATE_MIN, SEND_RATE_MAX
-        )
-        self.bucket.set_rate(self.rate, now)
+    def _set_rate(self, rate: float, now: float) -> None:
+        self.rate = rate
+        self.bucket.set_rate(rate, now)
+
+    def _take_credits(self, size: int, now: float) -> bool:
+        """Take the bucket credits for a DATA datagram of `size` payload
+        bytes, or block the send path until the bucket holds them."""
+        wait = self.bucket.acquire(HEADER_SIZE + size, now)
+        if wait > 0:
+            self._send_wait_until = now + max(wait, 1e-6)
+            return False
+        return True
 
     # --- read path ----------------------------------------------------------
 
@@ -298,33 +311,23 @@ class RspMember:
         writer = dgram.writer_id
         if writer == self.id:
             return out  # own datagram echoed back; multicast loop artifact
-        if dgram.type in (DatagramType.DATA, DatagramType.ACKREQ, DatagramType.BEACON):
-            reader = self.readers.get(writer)
-            if reader is None:
-                self.stats.unknown_writer += 1
-                return out
-            reader.last_heard = now
-            if dgram.type == DatagramType.DATA:
-                self._on_data(reader, writer, dgram, now, out)
-            else:
-                seq = expand_sequence(dgram.sequence, reader.next_expected)
-                reader.tail = max(reader.tail, seq)
-                if dgram.type == DatagramType.ACKREQ:
-                    self._answer_ackreq(reader, writer, now, out)
-        elif dgram.type == DatagramType.ACK:
-            if writer in self.acked and len(dgram.payload) >= 2:
-                (target,) = struct.unpack_from("<H", dgram.payload)
-                if target == self.id:
-                    self._on_ack(writer, dgram.sequence, now)
-            elif writer not in self.acked:
-                self.stats.unknown_writer += 1
-        elif dgram.type == DatagramType.NACK:
-            if writer in self.acked:
-                self._on_nack(writer, dgram.payload, now)
-            else:
-                self.stats.unknown_writer += 1
-        else:
+        reader = self.readers.get(writer)
+        dtype = dgram.type
+        if reader is None:
             self.stats.unknown_writer += 1
+        elif dtype == DatagramType.DATA:
+            self._on_data(reader, writer, dgram, now, out)
+        elif dtype == DatagramType.ACK:
+            if len(dgram.payload) >= 2 and struct.unpack_from("<H", dgram.payload)[0] == self.id:
+                self._on_ack(writer, dgram.sequence, now)
+        elif dtype == DatagramType.NACK:
+            self._on_nack(writer, dgram.payload, now)
+        elif dtype in (DatagramType.ACKREQ, DatagramType.BEACON):
+            reader.tail = max(reader.tail, expand_sequence(dgram.sequence, reader.next_expected))
+            if dtype == DatagramType.ACKREQ:
+                self._answer_ackreq(reader, writer, now, out)
+        else:
+            self.stats.unknown_writer += 1  # a type this version does not know
         return out
 
     def _on_data(self, reader: _ReaderState, writer: int, dgram: Datagram, now: float, out: list) -> None:
@@ -416,7 +419,7 @@ class RspMember:
         if seq > self.acked[member]:
             self.acked[member] = min(seq, self.next_seq - 1)
             if self._slide_window():
-                self._apply_congestion(ADVANCE_OK, now)
+                self._set_rate(min(self.rate + RATE_INCREASE, SEND_RATE_MAX), now)
 
     def _on_nack(self, member: int, payload: bytes, now: float) -> None:
         if len(payload) < 3:
@@ -439,7 +442,7 @@ class RspMember:
                     self._retransmit_due[seq] = max(now, floor)
                     needed = True
         if needed:
-            self._apply_congestion(RETRANSMIT_NEEDED, now)
+            self._set_rate(max(self.rate - RATE_DECREASE, SEND_RATE_MIN), now)
 
     # --- timers -------------------------------------------------------------
 
@@ -453,13 +456,8 @@ class RspMember:
         for seq in sorted(self._retransmit_due):
             if self._retransmit_due[seq] > now:
                 continue
-            payload = self._window.get(seq)
-            if payload is None:
-                self._retransmit_due.pop(seq)
-                continue
-            wait = self.bucket.acquire(HEADER_SIZE + len(payload), now)
-            if wait > 0:
-                self._send_wait_until = now + max(wait, 1e-6)
+            payload = self._window[seq]  # the window drops a sequence's retransmit with it
+            if not self._take_credits(len(payload), now):
                 break
             out.append(Datagram(DatagramType.DATA, self.id, seq, payload, FLAG_RETRANSMIT))
             self.stats.retransmitted += 1
@@ -470,9 +468,7 @@ class RspMember:
         if self._send_wait_until is None:
             while self._outq and self.in_flight < self.cfg.num_buffers:
                 size = min(self.cfg.payload_size, len(self._outq))
-                wait = self.bucket.acquire(HEADER_SIZE + size, now)
-                if wait > 0:
-                    self._send_wait_until = now + max(wait, 1e-6)
+                if not self._take_credits(size, now):
                     break
                 payload = self._outq.take(size)
                 seq = self.next_seq

@@ -31,12 +31,13 @@ and sink state, and that state changes only through the group or the
 endpoint.  Driving an `RspMember` or a `_Sink` directly bypasses the
 marks and leaves their timers stale.
 
-Each `step` delivers at most one datagram, then polls the due members in
-id order and runs the due sinks in key order, so the seeded random draws,
-and with them the trace, do not depend on how timers are found.  A
-virtual deadline (`run_until`, the window stall in `send`) never lets an
-event past it be processed: the clock stops at the deadline and
-SimStallError is raised.
+`step` is the one call that advances the clock.  It delivers at most one
+datagram, then polls the due members in id order and runs the due sinks
+in key order, so the seeded random draws, and with them the trace, do
+not depend on how timers are found.  `step(deadline)` never processes an
+event past `deadline`: it stops the clock at the deadline and returns
+False, and a virtual wait (`run_until`, the window stall in `send`) then
+raises SimStallError.
 """
 
 from __future__ import annotations
@@ -221,11 +222,6 @@ class RspSimGroup:
             heapq.heappop(timers)
         return _INF
 
-    def _next_time(self) -> float:
-        """Virtual time of the event the next `step` processes."""
-        t_heap = self._heap[0][0] if self._heap else _INF
-        return max(self.clock, min(t_heap, self._next_timer()))
-
     def _pop_due(self) -> tuple[list, list]:
         """Disarm and return the members and sinks due at the clock, sorted."""
         if self._dirty:
@@ -278,16 +274,20 @@ class RspSimGroup:
         for outgoing in member.protocol_step(dgram, self.clock):
             self._transmit(receiver, outgoing, self.clock)
 
-    def step(self) -> None:
+    def step(self, deadline: float = _INF) -> bool:
         """Advance the virtual clock to the next event and process it: at
         most one datagram, then every due member poll in id order and every
-        due sink in key order."""
+        due sink in key order.  An event past `deadline` is left pending:
+        the clock stops at the deadline and False is returned."""
         t_heap = self._heap[0][0] if self._heap else _INF
         t_timer = self._next_timer()
-        t_next = min(t_heap, t_timer)
+        t_next = max(self.clock, min(t_heap, t_timer))
+        if t_next > deadline:
+            self.clock = max(self.clock, deadline)
+            return False
         if t_next == _INF:
             raise SimStallError("no pending events")
-        self.clock = max(self.clock, t_next)
+        self.clock = t_next
         if t_heap <= t_timer:
             _, _, receiver, dgram = heapq.heappop(self._heap)
             self._deliver(receiver, dgram)
@@ -304,26 +304,19 @@ class RspSimGroup:
             # `next_event_time` does not read, so the member stays clean
             self._dirty.add(key)
             self._sinks[key].run(self.clock)
-
-    def _step_before(self, deadline: float, what: str) -> None:
-        """Process the next event unless it lies beyond `deadline`; then the
-        clock stops at the deadline and SimStallError is raised."""
-        if self._next_time() > deadline:
-            self.clock = max(self.clock, deadline)
-            raise SimStallError(what)
-        self.step()
+        return True
 
     def run_until(self, predicate: Callable[[], bool], max_virtual: float = 300.0) -> None:
         deadline = self.clock + max_virtual
         while not predicate():
             self._check_failures()
-            self._step_before(deadline, f"condition not reached within {max_virtual} virtual seconds")
+            if not self.step(deadline):
+                raise SimStallError(f"condition not reached within {max_virtual} virtual seconds")
 
     def run_for(self, duration: float) -> None:
         target = self.clock + duration
-        while self._next_time() <= target:
-            self.step()
-        self.clock = target
+        while self.step(target):
+            pass
 
     def _check_failures(self) -> None:
         if self.failure is not None:
@@ -367,8 +360,8 @@ class RspSimEndpoint:
                 self.member.try_enqueue(view[offset : offset + take])
                 self.group._dirty.add(self.id)
                 offset += take
-            else:
-                self.group._step_before(deadline, "send stalled: window never freed")
+            elif not self.group.step(deadline):
+                raise SimStallError("send stalled: window never freed")
 
     def recv(self, writer: int, n: int, max_virtual: float = 300.0) -> bytes:
         """Blocking in-order read of the next n bytes of `writer`'s stream."""

@@ -6,7 +6,9 @@ commands addressed by the collective's id.  Barriers, queues and queue
 consumers enter themselves in the manager's collective table of the
 command they take; the manager hands them each such command by the id at
 the head of its payload and tells them of every lost peer, and only
-masters answer a locate.  A `timeout` bounds the whole call; a barrier
+masters answer a locate.  A `timeout` bounds the whole call, and every
+call that outlives it raises TimeoutError, on a master or a slave alike;
+BarrierError and QueueError mean the collective itself failed.  A barrier
 entry fails at once with BarrierError once a participant that has entered
 any round is lost, whether mid-round or between rounds, a pop
 with QueueError when its queue's master is lost, and a queue hands the
@@ -97,7 +99,7 @@ class BarrierMaster:
         self._local_round += 1
         self._enter(round_no, lambda _payload: done.set(), err, peer="local")
         if not done.wait(timeout):
-            raise BarrierError(f"barrier round {round_no} timed out")
+            raise TimeoutError(f"barrier round {round_no} timed out")
         if errors:
             raise BarrierError(errors[0])
 
@@ -245,7 +247,7 @@ class QueueConsumer:
     def pop(self, timeout: float = 30.0) -> Optional[bytes]:
         with self._cond:
             if not self._cond.wait_for(lambda: self._local or self._ended or not self.master.alive, timeout):
-                raise QueueError("queue pop timed out")
+                raise TimeoutError("queue pop timed out")
             if self._local:
                 item = self._local.popleft()
                 ended = self._ended or not self.master.alive

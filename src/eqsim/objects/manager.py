@@ -17,7 +17,10 @@ broadcast when the hub is joined, there are at least two targets and the
 hub covers them all; otherwise by one unicast per target.  A node caches
 an instance push for an object it has not mapped (snooping) however it
 arrived, and a preload is such a push: the version-0 instance push, sent
-to every peer when the object is registered.  The barriers, queues and queue
+to every peer when the object is registered.  `counters` count every
+push, a preload's too: `bytes_pushed` adds a push's length once however
+many peers it reaches, `multicast_pushes` counts hub broadcasts and
+`unicast_pushes` one per live peer sent to.  The barriers, queues and queue
 consumers of `collectives` are entered in the manager's collective
 tables, which dispatch their commands by the id at the head of the
 payload; only masters answer a locate.
@@ -199,7 +202,7 @@ class ObjectManager:
             push = self._push_form(obj, VERSION_NONE, KIND_INSTANCE, 0, obj.serialize_instance)
             self._masters[object_id] = _MasterEntry(obj, change_type, history=OrderedDict({VERSION_NONE: push}))
         if self.preload:
-            self._send(CMD_OBJ_PUSH, push, self.node.peers)
+            self._push(push, self.node.peers)
         return object_id
 
     # --- mapping (slave side) -------------------------------------------------
@@ -320,25 +323,19 @@ class ObjectManager:
             raise TimeoutError(f"commit blocked on slaves {blocked_slaves()}")
 
     def _push(self, payload: bytes, peers: list[RemoteNode]) -> None:
+        """Broadcast by hub if it is joined and covers at least two peers,
+        else unicast to every live peer."""
         if not peers:
             return
         self.counters["bytes_pushed"] += len(payload)
-        broadcasts, unicasts = self._send(CMD_OBJ_PUSH, payload, peers)
-        self.counters["multicast_pushes"] += broadcasts
-        self.counters["unicast_pushes"] += unicasts
-
-    def _send(self, cmd_type: int, payload: bytes, targets: list[RemoteNode]) -> tuple[int, int]:
-        """Broadcast by hub if it is joined and covers at least two targets,
-        else unicast to every live target; returns (broadcasts, unicasts)."""
-        if self.hub is not None and len(targets) >= 2 and self.hub.covers({p.node_id for p in targets}):
-            self.hub.broadcast(self.node.node_id, cmd_type, payload)
-            return 1, 0
-        unicasts = 0
-        for peer in targets:
+        if self.hub is not None and len(peers) >= 2 and self.hub.covers({p.node_id for p in peers}):
+            self.hub.broadcast(self.node.node_id, CMD_OBJ_PUSH, payload)
+            self.counters["multicast_pushes"] += 1
+            return
+        for peer in peers:
             if peer.alive:
-                peer.send_command(cmd_type, payload)
-                unicasts += 1
-        return 0, unicasts
+                peer.send_command(CMD_OBJ_PUSH, payload)
+                self.counters["unicast_pushes"] += 1
 
     def sync(self, obj: DistributedObject, target: int = VERSION_HEAD, timeout: float = 30.0) -> int:
         with self._cond:

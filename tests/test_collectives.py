@@ -127,6 +127,25 @@ def test_barrier_participant_lost_between_rounds_fails_the_next_round_at_once():
         assert time.monotonic() - t0 < 1
 
 
+def test_barrier_master_timeout_raises_timeout_error():
+    with Cluster(2) as c:
+        master = BarrierMaster(c.managers[0], height=2)
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError, match="barrier round 0 timed out"):
+            master.enter(timeout=0.2)  # the slave never enters
+        assert time.monotonic() - t0 >= 0.2
+
+
+def test_barrier_slave_timeout_raises_timeout_error():
+    with Cluster(2) as c:
+        master = BarrierMaster(c.managers[0], height=2)
+        slave = BarrierSlave(c.managers[1], master.barrier_id)
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError, match="timed out"):
+            slave.enter(timeout=0.2)  # the master never enters
+        assert time.monotonic() - t0 >= 0.2
+
+
 def test_queue_single_consumer_fifo():
     with Cluster(2) as c:
         q = DistributedQueue(c.managers[0])
@@ -223,6 +242,17 @@ def test_queue_pop_fails_at_once_when_master_node_closes():
         assert time.monotonic() - t0 < 0.3 + 0.25
         closer.join(timeout=2)
         assert not closer.is_alive()
+
+
+def test_queue_pop_timeout_raises_timeout_error():
+    with Cluster(2) as c:
+        q = DistributedQueue(c.managers[0])
+        consumer = QueueConsumer(c.managers[1], q.queue_id)
+        t0 = time.monotonic()
+        with pytest.raises(TimeoutError, match="queue pop timed out"):
+            consumer.pop(timeout=0.2)  # nothing pushed, queue open
+        assert time.monotonic() - t0 >= 0.2
+        q.close()
 
 
 def test_queue_survives_a_lost_consumer():

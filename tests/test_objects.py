@@ -865,6 +865,24 @@ def test_preload_populates_caches(engine):
         assert all(m.cache.versions(oid) == [0] for m in c.managers[1:])
 
 
+def test_preload_is_counted_as_a_push():
+    with Cluster(4, preload=True) as c:
+        m0 = c.managers[0]
+        master = Doc(count=9, blob=b"preloaded")
+        oid = m0.register_object(master, ChangeType.INSTANCE)
+        preload = m0._masters[oid].history[VERSION_NONE]
+        assert m0.counters["unicast_pushes"] == 3
+        assert m0.counters["multicast_pushes"] == 0
+        assert m0.counters["bytes_pushed"] == len(preload)
+        # a commit to the same three peers counts the same way
+        for m in c.managers[1:]:
+            m.map_object(Doc(), oid)
+        master.set_dirty(Doc.DIRTY_COUNT)
+        v = m0.commit(master)
+        assert m0.counters["unicast_pushes"] == 6
+        assert m0.counters["bytes_pushed"] == len(preload) + len(m0._masters[oid].history[v])
+
+
 def test_warm_cache_map_needs_no_instance_payload(engine):
     with Cluster(2, preload=True, engine=engine) as c:
         m0, m1 = c.managers

@@ -1,9 +1,19 @@
 """Unit tests for the protocol state machine, no transport involved."""
 
+import struct
+
 import pytest
 
 from eqsim.net import Datagram, DatagramType, RspConfig, RspMember, expand_sequence
-from eqsim.net.rsp import HEADER_SIZE, NACK_DELAY, RATE_DECREASE, validate_nack_ranges
+from eqsim.net.rsp import (
+    HEADER_SIZE,
+    NACK_DELAY,
+    RATE_DECREASE,
+    RATE_INCREASE,
+    SEND_RATE_MAX,
+    SEND_RATE_MIN,
+    validate_nack_ranges,
+)
 from eqsim.net import RspError
 
 
@@ -14,6 +24,22 @@ def cfg3(**kw):
 
 def data_dgram(writer, seq, payload=b"x"):
     return Datagram(DatagramType.DATA, writer, seq, payload)
+
+
+def ack_dgram(member, target, seq):
+    return Datagram(DatagramType.ACK, member, seq, struct.pack("<H", target))
+
+
+def nack_dgram(member, target, first, last):
+    return Datagram(DatagramType.NACK, member, 0, struct.pack("<HBII", target, 1, first, last))
+
+
+def writer_with_sent(cfg, n):
+    """Member 0 of `cfg` after sending n full datagrams at time 0."""
+    m = RspMember(0, cfg, now=0.0)
+    m.try_enqueue(bytes(cfg.payload_size * n))
+    assert [d.sequence for d in m.poll(0.0) if d.type == DatagramType.DATA] == list(range(n))
+    return m
 
 
 def test_header_is_exactly_eight_bytes():
@@ -159,3 +185,58 @@ def test_ackreq_answered_with_ack_or_nack():
     out = m2.protocol_step(Datagram(DatagramType.ACKREQ, 0, 4), 0.01)
     types = sorted(d.type for d in out)
     assert DatagramType.NACK in types  # sequences 1..4 missing
+
+
+def test_ack_that_slides_the_window_raises_the_rate_up_to_the_maximum():
+    m = writer_with_sent(RspConfig(members=(0, 1)), 6)
+    m.protocol_step(nack_dgram(1, 0, 4, 4), 0.001)
+    m.protocol_step(nack_dgram(1, 0, 5, 5), 0.001)
+    rate = SEND_RATE_MAX - 2 * RATE_DECREASE
+    assert m.rate == rate
+    for seq in range(6):
+        m.protocol_step(ack_dgram(1, 0, seq), 0.002)
+        assert m.window_base == seq + 1
+        rate = min(rate + RATE_INCREASE, SEND_RATE_MAX)
+        assert (m.rate, m.bucket.fill_rate) == (rate, rate)
+    assert 6 * RATE_INCREASE > 2 * RATE_DECREASE  # the last acks hit the cap
+    assert m.rate == SEND_RATE_MAX
+
+
+def test_repeated_nacks_lower_the_rate_down_to_the_minimum():
+    m = writer_with_sent(cfg3(), 1)
+    rate, now = SEND_RATE_MAX, 0.0
+    while rate > SEND_RATE_MIN:
+        now += 0.01
+        m.protocol_step(nack_dgram(1, 0, 0, 0), now)
+        rate = max(rate - RATE_DECREASE, SEND_RATE_MIN)
+        assert (m.rate, m.bucket.fill_rate) == (rate, rate)
+        # the retransmission clears the schedule, so the next nack counts
+        assert [d.sequence for d in m.poll(now) if d.type == DatagramType.DATA] == [0]
+    m.protocol_step(nack_dgram(2, 0, 0, 0), now + 0.01)
+    assert m.rate == SEND_RATE_MIN
+
+
+def test_ack_that_slides_nothing_leaves_the_rate():
+    m = writer_with_sent(cfg3(), 3)
+    m.protocol_step(nack_dgram(1, 0, 2, 2), 0.001)
+    rate = SEND_RATE_MAX - RATE_DECREASE
+    m.protocol_step(ack_dgram(1, 0, 1), 0.002)  # member 2 has acked nothing
+    assert (m.window_base, m.rate) == (0, rate)
+    m.protocol_step(ack_dgram(2, 0, 0), 0.002)
+    assert m.window_base == 1
+    rate += RATE_INCREASE
+    m.protocol_step(ack_dgram(2, 0, 0), 0.003)  # a repeated ack
+    m.protocol_step(ack_dgram(2, 1, 2), 0.003)  # an ack for another writer
+    assert m.window_base == 1
+    assert (m.rate, m.bucket.fill_rate) == (rate, rate)
+
+
+def test_unknown_writers_and_types_counted_once_each():
+    m = RspMember(1, cfg3(), now=0.0)
+    for dtype in DatagramType:
+        m.protocol_step(Datagram(dtype, 99, 0, struct.pack("<HBII", 1, 1, 0, 0)), 0.0)
+    assert m.stats.unknown_writer == len(DatagramType)
+    m.protocol_step(Datagram(7, 0, 0, b""), 0.0)  # a known writer, an unknown type
+    assert m.stats.unknown_writer == len(DatagramType) + 1
+    m.protocol_step(Datagram(DatagramType.ACK, 0, 0, b"\x01"), 0.0)  # short, but known
+    assert m.stats.unknown_writer == len(DatagramType) + 1

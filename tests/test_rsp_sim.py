@@ -351,6 +351,18 @@ def _golden_idle_tail():
     return group
 
 
+def _golden_rsp_op():
+    # the `rsp` benchmark op three times: 8 members at 1% loss, member 0
+    # sends a 64 KiB message, then members 1-7 read it in turn
+    _, _, eps, group = make_group(range(8), seed=7, loss=0.01)
+    for i in range(3):
+        data = payload(64 << 10, 7 + i)
+        eps[0].send(data)
+        for reader in range(1, 8):
+            assert eps[reader].recv(0, len(data)) == data
+    return group
+
+
 GOLDEN_SCENARIOS = {
     "members2": _golden_members(2),
     "members3": _golden_members(3),
@@ -360,6 +372,7 @@ GOLDEN_SCENARIOS = {
     "impaired": _golden_impaired,
     "two_writers": _golden_two_writers,
     "rate_limited": _golden_rate_limited,
+    "rsp_op": _golden_rsp_op,
     "backlogged": _golden_backlogged,
     "paused": _golden_paused,
     "idle_tail": _golden_idle_tail,
@@ -408,6 +421,10 @@ GOLDEN = {
     "rate_limited": (
         "473ef2bd5769ede68bdfb107508ae13be6af83b6a2b4a16b46624bbffb4b7c6c",
         0.07326278686523438,
+    ),
+    "rsp_op": (
+        "c798dc10d5c1a2675415ff4051dfb0a6c4b6287caf4efff7a3e40ca26bb7da27",
+        0.022196548375217767,
     ),
     "two_writers": (
         "cadc2032c0f654ef689a44ae0797261b5354debf9e583becc7e99766e9a227be",

@@ -36,13 +36,16 @@ def assert_timers_exact(group):
     assert armed == {key: t for key, t in brute_times(group).items() if t != INF}
 
 
-def scan_step(group):
+def scan_step(group, deadline=INF):
     t_heap = group._heap[0][0] if group._heap else INF
     t_timer = brute_min(group)
-    t_next = min(t_heap, t_timer)
+    t_next = max(group.clock, min(t_heap, t_timer))
+    if t_next > deadline:
+        group.clock = max(group.clock, deadline)
+        return False
     if t_next == INF:
         raise SimStallError("no pending events")
-    group.clock = max(group.clock, t_next)
+    group.clock = t_next
     if t_heap <= t_timer:
         _, _, receiver, dgram = heapq.heappop(group._heap)
         group._deliver(receiver, dgram)
@@ -55,6 +58,7 @@ def scan_step(group):
         sink = group._sinks[key]
         if sink.due_time() <= group.clock:
             sink.run(group.clock)
+    return True
 
 
 def record_visits(group, log):
@@ -81,14 +85,14 @@ def build(n, seed, num_buffers, impairments, reference):
     log = []
     record_visits(group, log)
     if reference:
-        group.step = lambda: scan_step(group)
-        group._next_timer = lambda: brute_min(group)
+        group.step = lambda deadline=INF: scan_step(group, deadline)
     else:
         heap_step = group.step
 
-        def checked_step():
-            heap_step()
+        def checked_step(deadline=INF):
+            stepped = heap_step(deadline)
             assert_timers_exact(group)
+            return stepped
 
         group.step = checked_step
     return group, eps, log

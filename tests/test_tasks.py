@@ -12,6 +12,7 @@ from eqsim.compound import (
     Compound,
     ConfigError,
     Image,
+    PixelParam,
     PixelRect,
     Range,
     Viewport,
@@ -20,6 +21,7 @@ from eqsim.compound import (
     generate_tasks,
     make_tiles,
     parse_config,
+    pixel_owner,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -194,6 +196,54 @@ def test_multi_level_db_split_leaf_ranges_tile_the_unit_range(root):
     assert ordered[0].lo == 0.0 and ordered[-1].hi == 1.0
     for left, right in zip(ordered, ordered[1:]):
         assert left.hi == right.lo  # each depth belongs to exactly one leaf
+
+
+def pixel_split(counts, *children):
+    """A compound whose children own the pixels of `counts`, offsets in
+    row-major order; a missing child is a leaf."""
+    x_count, y_count = counts
+    node = Compound(channel="c")
+    for i in range(x_count * y_count):
+        child = children[i] if i < len(children) and children[i] else Compound(channel="c")
+        child.pixel = PixelParam(i % x_count, i // x_count, x_count, y_count)
+        node.children.append(child)
+    return node
+
+
+@st.composite
+def split_trees_pixel(draw, depth=0):
+    """A compound whose children split its pixels with counts of its own,
+    each child possibly split again, down to 3 levels."""
+    if depth == 3 or (depth > 0 and draw(st.booleans())):
+        return None
+    counts = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    n = counts[0] * counts[1]
+    return pixel_split(counts, *draw(st.lists(split_trees_pixel(depth + 1), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_trees_pixel(), st.integers(1, 30), st.integers(1, 20))
+def test_multi_level_pixel_split_gives_each_pixel_one_owner(root, width, height):
+    tasks = generate_tasks(root, frame=0, resolution=(width, height))
+    assert all(t.viewport == PixelRect(0, 0, width, height) for t in tasks)
+    for y in range(height):
+        for x in range(width):
+            assert sum(pixel_owner(t.pixel, x, y) for t in tasks) == 1, (x, y)
+
+
+@pytest.mark.parametrize("resolution", [(12, 1), (13, 5)])
+def test_multi_level_pixel_split_composites_every_pixel(resolution):
+    # pixel [ 0 0 2 1 ] and [ 1 0 2 1 ], split again into 3 and 2 columns
+    root = pixel_split((2, 1), pixel_split((3, 1)), pixel_split((2, 1)))
+    width, height = resolution
+    frame = PixelRect(0, 0, width, height)
+    ids = np.arange(1, width * height + 1, dtype=np.int32).reshape(height, width)
+    depth = np.ones((height, width))
+    tasks = generate_tasks(root, frame=0, resolution=resolution)
+    assert len(tasks) == 5
+    out = composite([(Image(frame, ids.copy(), depth.copy()), t) for t in tasks], resolution)
+    np.testing.assert_array_equal(out.values, ids)
+    np.testing.assert_array_equal(out.depth, depth)
 
 
 @pytest.mark.parametrize("first", [0, 1, 2, 5, 100])
