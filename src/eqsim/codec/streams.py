@@ -169,11 +169,6 @@ class OutputStream:
         if self._buffer:
             self._emit_buffer()
 
-    def close(self) -> None:
-        if not self._closed:
-            self.flush()
-            self._closed = True
-
     # primitives, little-endian on the wire
 
     def write_u32(self, v: int) -> None:

@@ -346,15 +346,10 @@ def validate_config(config: Config) -> None:
         for name in consumers:
             if name not in producers:
                 raise ConfigError(f"input frame {name!r} has no producer")
-        # subpixel indices should partition the sample space
-        by_parent: dict[int, list[SubpixelParam]] = {}
-        for node in root.walk():
-            for child in node.children:
-                if not child.subpixel.identity:
-                    by_parent.setdefault(node.node_index, []).append(child.subpixel)
-            if node.is_leaf and not node.subpixel.identity and node.node_index not in by_parent:
-                by_parent.setdefault(-1, []).append(node.subpixel)
-        for params in by_parent.values():
+        # the subpixel indices of each sibling group, and of the root on its
+        # own, should partition the sample space
+        for group in [[root], *(node.children for node in root.walk())]:
+            params = [node.subpixel for node in group if not node.subpixel.identity]
             sizes = {p.size for p in params}
             indices = sorted(p.index for p in params)
             if len(sizes) == 1 and indices != list(range(sizes.pop())):

@@ -76,7 +76,7 @@ class ConfigParseError(ConfigError):
         self.col = col
 
 
-_TOKEN = re.compile(r'"[^"]*"?|[{}\[\]]|[^\s{}\[\]"]+|#[^\n]*')
+_TOKEN = re.compile(r'"[^"]*"?|[{}\[\]]|[^\s{}\[\]"]+')
 
 _Token = tuple[str, int, int]  # text, line, column
 

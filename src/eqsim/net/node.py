@@ -7,6 +7,11 @@ receive order.  An accepted connection's receive thread runs its
 handshake too, so a silent client delays no other connect.  Peer-connected
 callbacks run before the peer's first command is dispatched.
 
+`LocalNode.loopback` is a RemoteNode for the node itself, with no
+connection and not among `peers`: its `send_raw` dispatches at once, in the
+sending thread, so a handler reached through it must not block on its
+sender.  Closing the node marks it dead, failing any request pending on it.
+
 `LocalNode.dispatch` is the one way in for a received command, whatever
 carried it: the receive threads call it, and so does a multicast channel
 such as the object layer's hub.  It resolves replies and hands every
@@ -75,7 +80,7 @@ class Command:
 class RemoteNode:
     """Proxy for a peer process reached through one connection."""
 
-    def __init__(self, node_id: uuid.UUID, connection: Connection, local: "LocalNode"):
+    def __init__(self, node_id: uuid.UUID, connection: Optional[Connection], local: "LocalNode"):
         self.node_id = node_id
         self.connection = connection
         self._local = local
@@ -95,6 +100,16 @@ class RemoteNode:
 
     def close(self) -> None:
         self.connection.close()
+
+
+class _Loopback(RemoteNode):
+    """The local node as its own peer: sending is dispatching."""
+
+    def send_raw(self, cmd_type: int, request_id: int, payload: bytes) -> None:
+        self._local.dispatch(self, cmd_type, request_id, payload)
+
+    def close(self) -> None:
+        self.alive = False
 
 
 @dataclass
@@ -123,6 +138,7 @@ class LocalNode:
         self.unknown_commands = 0
         self.peer_connected_callbacks: list[Callable[[RemoteNode], None]] = []
         self.peer_disconnected_callbacks: list[Callable[[RemoteNode], None]] = []
+        self.loopback: RemoteNode = _Loopback(self.node_id, None, self)
 
     # --- wiring ---------------------------------------------------------
 
@@ -284,7 +300,7 @@ class LocalNode:
             handshakes = list(self._handshakes)
         for conn in handshakes:
             conn.close()
-        for peer in self.peers:
+        for peer in [self.loopback, *self.peers]:
             peer.close()
         self._fail_waiters(None)
         for _, thread in self._listeners:

@@ -107,10 +107,6 @@ class Datagram:
         dtype, flags, writer_id, sequence = HEADER.unpack_from(raw)
         return cls(dtype, writer_id, sequence, raw[HEADER_SIZE:], flags)
 
-    @property
-    def size(self) -> int:
-        return HEADER_SIZE + len(self.payload)
-
 
 def expand_sequence(wire: int, reference: int) -> int:
     """Map a 32-bit wire sequence to the full value nearest `reference`."""

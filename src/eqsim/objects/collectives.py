@@ -9,11 +9,14 @@ the head of its payload and tells them of every lost peer, and only
 masters answer a locate.  A `timeout` bounds the whole call, and every
 call that outlives it raises TimeoutError, on a master or a slave alike;
 BarrierError and QueueError mean the collective itself failed.  A barrier
-entry fails at once with BarrierError once a participant that has entered
-any round is lost, whether mid-round or between rounds, a pop
-with QueueError when its queue's master is lost, and a queue hands the
-items whose send to a lost consumer failed to the others.  Items already
-sent into a lost consumer's prefetch buffer are lost with it.
+entry is always a command, which the master sends to its own node's
+loopback; it fails at once with BarrierError once a participant that has
+entered any round is lost, whether mid-round or between rounds, or when
+the entering node closes.  A pop fails with QueueError when its queue's
+master is lost.  A queue item stays the queue's until its consumer
+acknowledges it, the end of a closed queue waits for every item handed
+out, and a lost consumer's unacknowledged items go back.  So after an
+orderly close of a consumer's node, each item is popped exactly once.
 """
 
 from __future__ import annotations
@@ -49,6 +52,29 @@ class QueueError(ObjectError):
     pass
 
 
+def _enter(master: RemoteNode, barrier_id: uuid.UUID, round_no: int, timeout: float) -> None:
+    """Enter round `round_no` of a barrier through its master's node."""
+    payload = barrier_id.bytes + struct.pack("<Q", round_no)
+    try:
+        master.request(CMD_BARRIER_ENTER, payload, timeout=timeout)
+    except TimeoutError:
+        raise TimeoutError(f"barrier round {round_no} timed out") from None
+    except (RemoteError, TransportError) as exc:
+        raise BarrierError(str(exc)) from exc
+
+
+def _answer(entries: list[Command], error: Optional[str]) -> None:
+    """Release waiting barrier entries, or fail them with `error`."""
+    for cmd in entries:
+        try:
+            if error is None:
+                cmd.reply()
+            else:
+                cmd.reply_error(error)
+        except TransportError:
+            pass  # answering a participant that just vanished
+
+
 class BarrierMaster:
     """Master side of a distributed barrier; also a local participant handle."""
 
@@ -59,95 +85,67 @@ class BarrierMaster:
         self.barrier_id = uuid.uuid4()
         self.height = height
         self._lock = threading.Lock()
-        self._rounds: dict[int, list] = {}   # round -> waiter list
-        self._entered: set = set()           # every participant id that has entered
-        self._local_round = 0
+        self._rounds: dict[int, list[Command]] = {}  # round -> waiting entries
+        self._entered: set = set()  # every participant id that has entered
+        self._round = 0
         self._failed: Optional[str] = None
         manager.collectives[CMD_BARRIER_ENTER][self.barrier_id] = self
 
     def _on_command(self, cmd: Command) -> None:
         (round_no,) = struct.unpack_from("<Q", cmd.payload, 16)
-        self._enter(round_no, cmd.reply, cmd.reply_error, cmd.peer.node_id)
-
-    def _enter(self, round_no: int, reply, reply_error, peer) -> None:
         with self._lock:
             if self._failed:
-                reply_error(self._failed)
-                return
-            waiters = self._rounds.setdefault(round_no, [])
-            waiters.append((reply, reply_error))
-            self._entered.add(peer)
-            if len(waiters) < self.height:
-                return
-            done = self._rounds.pop(round_no)
-        for ok, _ in done:
-            try:
-                ok(b"")
-            except Exception:
-                pass  # releasing a participant that just vanished
+                done, error = [cmd], self._failed
+            else:
+                waiters = self._rounds.setdefault(round_no, [])
+                waiters.append(cmd)
+                self._entered.add(cmd.peer.node_id)
+                if len(waiters) < self.height:
+                    return
+                done, error = self._rounds.pop(round_no), None
+        _answer(done, error)
 
     def enter(self, timeout: float = 30.0) -> None:
         """Participate from the master node itself."""
-        done = threading.Event()
-        errors = []
-
-        def err(message: str) -> None:
-            errors.append(message)
-            done.set()
-
-        round_no = self._local_round
-        self._local_round += 1
-        self._enter(round_no, lambda _payload: done.set(), err, peer="local")
-        if not done.wait(timeout):
-            raise TimeoutError(f"barrier round {round_no} timed out")
-        if errors:
-            raise BarrierError(errors[0])
+        self._round += 1
+        _enter(self.manager.node.loopback, self.barrier_id, self._round - 1, timeout)
 
     def _peer_lost(self, peer: RemoteNode) -> None:
         with self._lock:
             if peer.node_id not in self._entered:
                 return
             self._failed = f"barrier participant {peer.node_id} disconnected"
-            pending = [w for ws in self._rounds.values() for w in ws]
+            pending = [cmd for cmds in self._rounds.values() for cmd in cmds]
             self._rounds.clear()
-        for _, err in pending:
-            try:
-                err(self._failed)
-            except Exception:
-                pass
+        _answer(pending, self._failed)
 
 
 class BarrierSlave:
     """Remote participant handle."""
 
     def __init__(self, manager: ObjectManager, barrier_id: uuid.UUID, timeout: float = 30.0):
-        self.manager = manager
         self.barrier_id = barrier_id
         self.master = manager.locate_master(barrier_id, timeout)
         self._round = 0
 
     def enter(self, timeout: float = 30.0) -> None:
-        payload = self.barrier_id.bytes + struct.pack("<Q", self._round)
         self._round += 1
-        try:
-            self.master.request(CMD_BARRIER_ENTER, payload, timeout=timeout)
-        except (RemoteError, TransportError) as exc:
-            raise BarrierError(str(exc)) from exc
+        _enter(self.master, self.barrier_id, self._round - 1, timeout)
 
 
 class DistributedQueue:
-    """Single-producer FIFO; items are handed to at most one consumer.
+    """Single-producer FIFO; items are handed to one consumer at a time.
 
-    An item goes back to the head of the queue only when its send to a
-    lost consumer fails; items already in a lost consumer's prefetch
-    buffer are gone with it.
+    Each request of a consumer after its first acknowledges the oldest item
+    sent to it.  Unacknowledged items go back to the head of the queue, in
+    order, when their consumer is lost, and the end waits for them.
     """
 
     def __init__(self, manager: ObjectManager):
-        self.manager = manager
         self.queue_id = uuid.uuid4()
         self._items: deque[bytes] = deque()
         self._pending: deque = deque()  # (peer, credits) served as items arrive
+        self._handed: dict[RemoteNode, deque[bytes]] = {}  # consumer -> items it has not acknowledged
         self._closed = False
         self._lock = threading.Lock()
         manager.collectives[CMD_QUEUE_POP][self.queue_id] = self
@@ -157,55 +155,49 @@ class DistributedQueue:
             if self._closed:
                 raise QueueError("queue closed")
             self._items.append(bytes(item))
-        self._dispatch()
+            self._dispatch()
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
-        self._dispatch()
-
-    def _collect_sends(self) -> list:
-        sends = []
-        while self._pending:
-            peer, credits = self._pending.popleft()
-            while credits and self._items:
-                sends.append((peer, 0, self._items.popleft()))
-                credits -= 1
-            if credits:
-                if not self._closed:
-                    self._pending.appendleft((peer, credits))
-                    break
-                sends.append((peer, _ITEM_END, b""))
-        return sends
+            self._dispatch()
 
     def _on_command(self, cmd: Command) -> None:
         (credits,) = struct.unpack_from("<H", cmd.payload, 16)
         with self._lock:
+            handed = self._handed.setdefault(cmd.peer, deque())
+            if handed:
+                handed.popleft()  # popped, since a consumer pops in order
             self._pending.append((cmd.peer, credits))
-        self._dispatch()
+            self._dispatch()
 
     def _peer_lost(self, peer: RemoteNode) -> None:
-        self._dispatch({peer})
-
-    def _dispatch(self, lost=frozenset(), unsent=()) -> None:
-        """Send what the pending credits take, outside the lock.  The credits
-        of consumers in `lost` are dropped, and the items that could not
-        reach them go back to the head of the queue."""
         with self._lock:
-            if lost:
-                self._items.extendleft(reversed(unsent))
-                self._pending = deque(p for p in self._pending if p[0] not in lost)
-            sends = self._collect_sends()
-        lost, unsent = set(), []
-        for peer, flags, item in sends:
-            try:
-                peer.send_command(CMD_QUEUE_ITEM, self.queue_id.bytes + bytes([flags]) + item)
-            except TransportError:
-                lost.add(peer)
-                if not flags & _ITEM_END:
-                    unsent.append(item)
-        if lost:
-            self._dispatch(lost, unsent)
+            self._items.extendleft(reversed(self._handed.pop(peer, ())))
+            self._pending = deque(p for p in self._pending if p[0] is not peer)
+            self._dispatch()
+
+    def _dispatch(self) -> None:
+        """Send what the pending credits take.  Runs under the lock, so each
+        consumer receives its items in the order they are recorded."""
+        while self._pending:
+            peer, credits = self._pending.popleft()
+            handed = self._handed[peer]
+            while credits and self._items:
+                handed.append(self._items.popleft())
+                self._send(peer, 0, handed[-1])
+                credits -= 1
+            if credits:
+                if not self._closed or any(self._handed.values()):
+                    self._pending.appendleft((peer, credits))
+                    return
+                self._send(peer, _ITEM_END, b"")
+
+    def _send(self, peer: RemoteNode, flags: int, item: bytes) -> None:
+        try:
+            peer.send_command(CMD_QUEUE_ITEM, self.queue_id.bytes + bytes([flags]) + item)
+        except TransportError:
+            pass  # changes nothing: the loss of `peer` returns its items
 
 
 class QueueConsumer:
@@ -217,7 +209,6 @@ class QueueConsumer:
         consumers = manager.collectives[CMD_QUEUE_ITEM]
         if queue_id in consumers:
             raise QueueError("queue already mapped on this node")
-        self.manager = manager
         self.queue_id = queue_id
         self.prefetch = prefetch
         self.master = manager.locate_master(queue_id, timeout)
@@ -250,16 +241,14 @@ class QueueConsumer:
                 raise TimeoutError("queue pop timed out")
             if self._local:
                 item = self._local.popleft()
-                ended = self._ended or not self.master.alive
             elif self._ended:
                 return None
             else:
                 raise QueueError(f"queue master {self.master.node_id} disconnected")
-        if not ended:
-            try:
-                self._request(1)
-            except TransportError:
-                pass  # the master is gone; the next pop reports it
+        try:
+            self._request(1)  # acknowledges `item`
+        except TransportError:
+            pass  # the master is gone; the next pop reports it
         return item
 
 
@@ -279,8 +268,7 @@ class ObjectMap(Serializable):
     def __init__(self):
         super().__init__()
         self.entries: dict[uuid.UUID, tuple[int, int]] = {}  # id -> (version, type tag)
-        self._registered: list[DistributedObject] = []
-        self._mapped: dict[uuid.UUID, DistributedObject] = {}
+        self._instances: dict[uuid.UUID, DistributedObject] = {}  # registered, or mapped on a slave
 
     # --- serialization -----------------------------------------------------
 
@@ -309,7 +297,7 @@ class ObjectMap(Serializable):
         if self._manager is None or not self.is_master:
             raise ObjectError("map must be a registered master before adding objects")
         object_id = self._manager.register_object(obj, change_type)
-        self._registered.append(obj)
+        self._instances[object_id] = obj
         self.entries[object_id] = (obj.version, type_tag)
         self.set_dirty(self.DIRTY_ENTRIES)
         return object_id
@@ -317,12 +305,12 @@ class ObjectMap(Serializable):
     def commit_all(self) -> int:
         if self._manager is None or not self.is_master:
             raise ObjectError("commit_all requires the master map")
-        for obj in self._registered:
+        for object_id, obj in self._instances.items():
             if obj.change_type.versioned and obj.is_dirty():
                 version = self._manager.commit(obj)
-                tag = self.entries[obj.object_id][1]
-                if self.entries[obj.object_id][0] != version:
-                    self.entries[obj.object_id] = (version, tag)
+                recorded, tag = self.entries[object_id]
+                if recorded != version:
+                    self.entries[object_id] = (version, tag)
                     self.set_dirty(self.DIRTY_ENTRIES)
         return self._manager.commit(self)
 
@@ -333,7 +321,7 @@ class ObjectMap(Serializable):
             raise UnknownObjectError(f"{object_id} is not in this map")
         version, _ = self.entries[object_id]
         mapped = self._manager.map_object(instance, object_id, version, timeout)
-        self._mapped[object_id] = instance
+        self._instances[object_id] = instance
         return mapped
 
     def sync_all(self, target: int = VERSION_HEAD, timeout: float = 30.0) -> int:
@@ -341,9 +329,7 @@ class ObjectMap(Serializable):
             raise ObjectError("sync_all runs on mapped slave maps")
         deadline = time.monotonic() + timeout
         reached = self._manager.sync(self, target, timeout)
-        for object_id, instance in self._mapped.items():
-            if object_id not in self.entries:
-                continue
+        for object_id, instance in self._instances.items():
             recorded, _ = self.entries[object_id]
             try:
                 self._manager.sync(instance, recorded, deadline - time.monotonic())

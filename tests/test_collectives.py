@@ -1,7 +1,10 @@
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqsim.objects import (
     VERSION_HEAD,
@@ -134,6 +137,20 @@ def test_barrier_master_timeout_raises_timeout_error():
         with pytest.raises(TimeoutError, match="barrier round 0 timed out"):
             master.enter(timeout=0.2)  # the slave never enters
         assert time.monotonic() - t0 >= 0.2
+
+
+def test_barrier_master_enter_fails_at_once_when_its_node_closes():
+    with Cluster(2) as c:
+        master = BarrierMaster(c.managers[0], height=2)
+        BarrierSlave(c.managers[1], master.barrier_id)  # connected, never enters
+        closer = threading.Timer(0.1, c.nodes[0].close)
+        closer.start()
+        t0 = time.monotonic()
+        with pytest.raises(BarrierError):
+            master.enter(timeout=3)
+        assert time.monotonic() - t0 < 0.5
+        closer.join(timeout=5)
+        assert not closer.is_alive()
 
 
 def test_barrier_slave_timeout_raises_timeout_error():
@@ -270,6 +287,100 @@ def test_queue_survives_a_lost_consumer():
         while (item := keeper.pop(timeout=2)) is not None:
             got.append(item)
         assert got == items
+
+
+def test_queue_sends_to_one_consumer_in_push_order_while_a_send_stalls():
+    with Cluster(2) as c:
+        q = DistributedQueue(c.managers[0])
+        consumer = QueueConsumer(c.managers[1], q.queue_id, prefetch=2)
+        _wait_until(lambda: len(q._pending) == 1)
+        peer = c.nodes[0].peer(c.nodes[1].node_id)
+        send_raw, started = peer.send_raw, threading.Event()
+
+        def stall_first_send(*args):
+            if not started.is_set():
+                started.set()
+                time.sleep(0.3)
+            send_raw(*args)
+
+        peer.send_raw = stall_first_send
+        first = threading.Thread(target=q.push, args=(b"first",))
+        first.start()
+        assert started.wait(timeout=5)  # "first" is handed out, not yet sent
+        q.push(b"second")
+        first.join(timeout=5)
+        assert not first.is_alive()
+        assert [consumer.pop(timeout=5), consumer.pop(timeout=5)] == [b"first", b"second"]
+
+
+def test_queue_returns_a_lost_consumers_prefetched_items():
+    with Cluster(3) as c:
+        q = DistributedQueue(c.managers[0])
+        lost = QueueConsumer(c.managers[1], q.queue_id, prefetch=4)
+        items = [bytes([i]) for i in range(8)]
+        for item in items:
+            q.push(item)
+        _wait_until(lambda: len(lost._local) == 4)  # items 0-3 prefetched
+        c.nodes[1].close()
+        _wait_until(lambda: len(q._items) == 8)  # 0-3 back at the head
+        keeper = QueueConsumer(c.managers[2], q.queue_id, prefetch=4)
+        q.close()
+        got = []
+        while (item := keeper.pop(timeout=2)) is not None:
+            got.append(item)
+        assert got == items
+        assert keeper.pop(timeout=2) is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(prefetch=st.integers(1, 4), count=st.integers(0, 12), data=st.data())
+def test_queue_items_are_popped_exactly_once_across_a_lost_consumer(prefetch, count, data):
+    popped_first = data.draw(st.integers(0, count), label="popped by the first consumer")
+    items = [bytes([i]) for i in range(count)]
+    with Cluster(3) as c:
+        q = DistributedQueue(c.managers[0])
+        for item in items:
+            q.push(item)
+        first = QueueConsumer(c.managers[1], q.queue_id, prefetch=prefetch)
+        got = [first.pop(timeout=5) for _ in range(popped_first)]
+        c.nodes[1].close()
+        second = QueueConsumer(c.managers[2], q.queue_id, prefetch=prefetch)
+        q.close()
+        while (item := second.pop(timeout=5)) is not None:
+            got.append(item)
+    assert sorted(got) == items
+
+
+def test_queue_stress_pushes_racing_pops_and_a_lost_consumer():
+    items = [i.to_bytes(2, "little") for i in range(60)]
+    got = {i: [] for i in range(3)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with Cluster(4) as c:
+            q = DistributedQueue(c.managers[0])
+            consumers = [QueueConsumer(c.managers[i], q.queue_id, prefetch=3) for i in (1, 2, 3)]
+
+            def drain(i, limit):
+                while len(got[i]) < limit and (item := consumers[i].pop(timeout=10)) is not None:
+                    got[i].append(item)
+
+            lost = threading.Thread(target=drain, args=(0, 5))
+            survivors = [threading.Thread(target=drain, args=(i, len(items))) for i in (1, 2)]
+            producer = threading.Thread(target=lambda: [q.push(item) for item in items])
+            for t in (lost, *survivors, producer):
+                t.start()
+            lost.join(timeout=10)
+            c.nodes[1].close()  # the first consumer leaves holding prefetched items
+            producer.join(timeout=10)
+            q.close()
+            for t in survivors:
+                t.join(timeout=20)
+            assert not any(t.is_alive() for t in (lost, producer, *survivors))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got[0]) == 5
+    assert sorted(x for popped in got.values() for x in popped) == items
 
 
 def test_objectmap_commit_only_dirty_objects():

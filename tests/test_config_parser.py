@@ -78,6 +78,21 @@ def test_subpixel_listing_parses_with_partition_warning():
     assert any("partition" in w for w in cfg.warnings)
 
 
+def test_subpixel_partition_is_checked_once_per_sibling_group():
+    assert parse_config(load("subpixel.eqc")).warnings == [
+        "subpixel indices [0, 1, 1] are not a complete partition"
+    ]
+    halves = 'compound {{ channel "{0}" subpixel [ 0 2 ] }} compound {{ channel "{1}" subpixel [ 1 2 ] }}'
+    two_parents = (
+        f'compound {{ channel "d" compound {{ channel "a" {halves.format("a", "b")} }}'
+        f' compound {{ channel "c" {halves.format("c", "e")} }} }}'
+    )
+    assert parse_config(two_parents).warnings == []
+    assert parse_config('compound { channel "c" subpixel [ 0 2 ] }').warnings == [
+        "subpixel indices [0] are not a complete partition"
+    ]
+
+
 def test_empty_compound_defaults():
     cfg = parse_config('compound { channel "c" }')
     root = cfg.compounds[0]
@@ -231,6 +246,25 @@ def test_param_with_spaces_prints_and_reparses():
 def test_nested_latency_one_overrides_the_outer_latency():
     assert parse_config("config { latency 3 config { latency 1 } }").latency == 1
     assert parse_config("latency 3 server { }").latency == 3
+
+
+def test_nested_blocks_join_the_outer_lists_in_order():
+    cfg = parse_config(
+        'compound { channel "a" }'
+        ' server { config { latency 2 compound { channel "b" } } }'
+        ' canvas { name "c1" segment { channel "a" } }'
+        ' global { canvas { name "c2" segment { channel "b" } } }'
+        ' compound { channel "c" }'
+    )
+    assert [root.channel for root in cfg.compounds] == ["a", "b", "c"]
+    assert [canvas.name for canvas in cfg.canvases] == ["c1", "c2"]
+    assert cfg.latency == 2
+
+
+def test_unknown_top_level_key_warns():
+    cfg = parse_config('compound { channel "c" }\nx 1')
+    assert cfg.warnings == ["line 2: unknown top-level key 'x' ignored"]
+    assert [root.channel for root in cfg.compounds] == ["c"]
 
 
 # --- parse(pretty_print(cfg)) == cfg for generated configs ------------------------

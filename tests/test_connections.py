@@ -523,6 +523,32 @@ def test_pending_request_fails_at_once_when_connection_lost(closing):
     b.close()
 
 
+def test_loopback_dispatches_in_the_sending_thread_and_dies_with_its_node():
+    node = LocalNode("self")
+    threads = []
+
+    def ping(cmd: Command):
+        threads.append(threading.current_thread())
+        cmd.reply(cmd.payload + b"-pong")
+
+    node.register_handler(CMD_PING, ping)
+    assert node.loopback.node_id == node.node_id
+    assert node.loopback not in node.peers
+    assert node.loopback.request(CMD_PING, b"hi", timeout=5) == b"hi-pong"
+    assert threads == [threading.current_thread()]
+    node.register_handler(CMD_PING, lambda cmd: None)  # never replies
+    closer = threading.Timer(0.1, node.close)
+    closer.start()
+    t0 = time.monotonic()
+    with pytest.raises(ConnectionClosedError):
+        node.loopback.request(CMD_PING, b"", timeout=3)
+    assert time.monotonic() - t0 < 0.5
+    closer.join(timeout=5)
+    assert not node.loopback.alive
+    with pytest.raises(ConnectionClosedError):
+        node.loopback.request(CMD_PING, b"", timeout=3)  # refused after close
+
+
 class RecordingConnection(Connection):
     """Records every piece a node writes to one connection."""
 
