@@ -1,12 +1,13 @@
 """Synthetic-image compositing for every decomposition mode.
 
 Images are integer id rasters with a float depth plane, as produced by
-the workload simulator.  Spatial splits paste, database splits merge by
-per-pixel depth, pixel splits interleave by ownership and sample splits
-average.  Inputs contribute only their region-of-interest rectangle, a
-pixel input only the pixels it owns within it, and the transfer
-accounting reflects exactly those bytes (zero for frames flagged as
-node-local transfers).
+the workload simulator.  Every input contributes the pixels it owns
+within its region-of-interest rectangle: all of them, or those its pixel
+split assigns it.  An input with a subpixel sample is averaged with the
+other samples (ids floored, nearest depth kept), one with a database
+range is merged by per-pixel depth, and any other is pasted.  The
+transfer accounting reflects exactly the owned bytes (zero for frames
+flagged as node-local transfers).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import FULL_RANGE, PixelRect, RenderTask
+from .model import FULL_RANGE, PixelParam, PixelRect, RenderTask
 
 BACKGROUND = 0
 BYTES_PER_PIXEL = 12  # 4 bytes id + 8 bytes depth
@@ -66,10 +67,13 @@ class CompositeStats:
     roi_pixels: int = 0
 
 
-def _slices(outer: PixelRect, inner: PixelRect) -> tuple[slice, slice]:
+def _owned(outer: PixelRect, roi: PixelRect, p: PixelParam) -> tuple[slice, slice]:
+    """Slices of an array over `outer` that pick the pixels of `roi` that
+    `p` owns: the rows and columns on its offsets within its period."""
+    y, x = roi.y - outer.y, roi.x - outer.x
     return (
-        slice(inner.y - outer.y, inner.y - outer.y + inner.h),
-        slice(inner.x - outer.x, inner.x - outer.x + inner.w),
+        slice(y + (p.y_offset - roi.y) % p.y_count, y + roi.h, p.y_count),
+        slice(x + (p.x_offset - roi.x) % p.x_count, x + roi.w, p.x_count),
     )
 
 
@@ -92,21 +96,10 @@ def composite(
         roi = image.roi if image.roi is not None else image.compute_roi()
         if roi is None:
             continue  # nothing rendered; nothing transferred
-        src = _slices(image.rect, roi)
-        dst = _slices(frame_rect, roi)
+        src = _owned(image.rect, roi, task.pixel)
+        dst = _owned(frame_rect, roi, task.pixel)
         values = image.values[src]
         depth = image.depth[src]
-        pixel_split = task.subpixel.identity and not task.pixel.identity
-        if pixel_split:
-            # a pixel input moves only the pixels it owns: the ROI's rows and
-            # columns that fall on its offsets within the pixel period
-            p = task.pixel
-            owned = (
-                slice((p.y_offset - roi.y) % p.y_count, None, p.y_count),
-                slice((p.x_offset - roi.x) % p.x_count, None, p.x_count),
-            )
-            values = values[owned]
-            depth = depth[owned]
         if stats is not None:
             stats.roi_pixels += roi.area
             if not task.local_transfer:
@@ -120,9 +113,6 @@ def composite(
             subpixel_sum[dst] += values
             subpixel_count[dst] += 1
             np.minimum(subpixel_depth[dst], depth, out=subpixel_depth[dst])
-        elif pixel_split:
-            out.values[dst][owned] = values
-            out.depth[dst][owned] = depth
         elif task.range_ != FULL_RANGE:
             # database range: merge by depth within the rectangle
             region_depth = out.depth[dst]
@@ -130,12 +120,14 @@ def composite(
             np.copyto(out.values[dst], values, where=closer)
             np.copyto(region_depth, depth, where=closer)
         else:
-            # spatial split: pasted rectangles must not overlap
-            if any(task.viewport.intersect(vp) for vp in pasted):
-                raise CompositeError(
-                    f"overlapping spatial inputs at {task.viewport} (invalid decomposition)"
-                )
-            pasted.append(task.viewport)
+            # spatial split: pasted rectangles must not overlap, unless
+            # their pixel splits interleave them
+            if task.pixel.identity:
+                if any(task.viewport.intersect(vp) for vp in pasted):
+                    raise CompositeError(
+                        f"overlapping spatial inputs at {task.viewport} (invalid decomposition)"
+                    )
+                pasted.append(task.viewport)
             out.values[dst] = values
             out.depth[dst] = depth
 

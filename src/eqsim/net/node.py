@@ -1,11 +1,21 @@
 """Process abstraction: nodes exchanging framed commands over connections.
 
-A LocalNode listens on one or more connection endpoints.  Every accepted
-or outgoing connection is wrapped in a RemoteNode after a node-id
-handshake, and a dedicated receive thread reads its commands in per-peer
-receive order.  An accepted connection's receive thread runs its
+A LocalNode listens on one or more connection endpoints.  Both ends of
+every link, accepted or outgoing, run one handshake: each sends its
+16-byte node id, then reads the other's, and registers the peer as a
+RemoteNode.  A dedicated receive thread then reads its commands in
+per-peer receive order.  An accepted connection's receive thread runs its
 handshake too, so a silent client delays no other connect.  Peer-connected
 callbacks run before the peer's first command is dispatched.
+
+A node is one peer: a link to a node already among `peers`, or to the
+node itself, is refused with ConnectError and closed on both ends.  Two
+nodes that connect to each other at the same moment may both be refused,
+so each pair is wired once, from one side.  Every link tears down the
+same way, whether its stream ended, the node closed or a handler raised
+(the error then goes on up the receive thread): the link is closed,
+its peer marked dead and removed from `peers`, its pending requests
+fail and the peer-disconnected callbacks run.
 
 `LocalNode.loopback` is a RemoteNode for the node itself, with no
 connection and not among `peers`: its `send_raw` dispatches at once, in the
@@ -27,7 +37,8 @@ ids correlate a blocking `request` with its REPLY; its `timeout` bounds
 the whole call, as HANDSHAKE_TIMEOUT bounds connecting.  A request still
 pending when its peer's connection ends, or when the local node closes,
 fails at once with ConnectionClosedError; closing the node also ends its
-accepts and handshakes at once.
+accepts and its handshakes, connecting or accepting, at once, and a
+closed node refuses every new link.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .connection import (
+    ConnectError,
     Connection,
     ConnectionClosedError,
     ConnectionDescription,
@@ -130,7 +142,7 @@ class LocalNode:
         self._listeners: list[tuple[Listener, threading.Thread]] = []
         self._peers: dict[uuid.UUID, RemoteNode] = {}
         self._peer_threads: list[threading.Thread] = []
-        self._handshakes: set[Connection] = set()  # accepted, not yet a peer
+        self._handshakes: set[Connection] = set()  # exchanging ids, not yet a peer
         self._lock = threading.Lock()
         self._closed = False
         self._request_ids = itertools.count(1)
@@ -157,15 +169,8 @@ class LocalNode:
         return listener
 
     def connect_to(self, desc: ConnectionDescription) -> RemoteNode:
-        deadline = time.monotonic() + HANDSHAKE_TIMEOUT
         conn = connect(desc, HANDSHAKE_TIMEOUT)
-        try:
-            conn.send(self.node_id.bytes)
-            peer_id = uuid.UUID(bytes=conn.recv(16, timeout=deadline - time.monotonic()))
-        except (TransportError, TimeoutError):
-            conn.close()
-            raise
-        peer = self._add_peer(peer_id, conn)
+        peer = self._handshake(conn, time.monotonic() + HANDSHAKE_TIMEOUT)
         self._start_thread(self._receive_loop, peer)
         return peer
 
@@ -179,31 +184,46 @@ class LocalNode:
 
     def _serve_accepted(self, conn: Connection) -> None:
         """Receive thread of an accepted connection: handshake, then dispatch."""
-        with self._lock:
-            if self._closed:
-                conn.close()
-                return
-            self._handshakes.add(conn)  # so that close ends the handshake
         try:
-            peer_id = uuid.UUID(bytes=conn.recv(16, timeout=HANDSHAKE_TIMEOUT))
-            conn.send(self.node_id.bytes)
+            peer = self._handshake(conn, time.monotonic() + HANDSHAKE_TIMEOUT)
         except (TransportError, TimeoutError, OSError):
-            conn.close()
             return
-        finally:
-            with self._lock:
-                self._handshakes.discard(conn)
-        self._receive_loop(self._add_peer(peer_id, conn))
+        self._receive_loop(peer)
 
     def _start_thread(self, target: Callable, arg) -> None:
         thread = threading.Thread(target=target, args=(arg,), daemon=True, name=f"{self.name}-recv")
         thread.start()
         self._peer_threads.append(thread)
 
-    def _add_peer(self, peer_id: uuid.UUID, conn: Connection) -> RemoteNode:
-        peer = RemoteNode(peer_id, conn, self)
+    def _handshake(self, conn: Connection, deadline: float) -> RemoteNode:
+        """Exchange node ids over `conn` by `deadline` and register the peer.
+
+        Both ends send their id before they read the other's.  The link is
+        refused if the node is closed, if the peer is this node or if it is
+        already connected; on any failure `conn` is closed and the error
+        raised."""
         with self._lock:
-            self._peers[peer_id] = peer
+            if self._closed:
+                conn.close()
+                raise ConnectionClosedError(f"node {self.name} is closed")
+            self._handshakes.add(conn)  # so that close ends the handshake
+        try:
+            conn.send(self.node_id.bytes)
+            peer_id = uuid.UUID(bytes=conn.recv(16, timeout=deadline - time.monotonic()))
+            with self._lock:
+                if self._closed:
+                    raise ConnectionClosedError(f"node {self.name} is closed")
+                if peer_id == self.node_id:
+                    raise ConnectError("a node does not connect to itself; use `loopback`")
+                if peer_id in self._peers:
+                    raise ConnectError(f"already connected to {peer_id}")
+                peer = self._peers[peer_id] = RemoteNode(peer_id, conn, self)
+        except BaseException:
+            conn.close()
+            raise
+        finally:
+            with self._lock:
+                self._handshakes.discard(conn)
         for cb in list(self.peer_connected_callbacks):
             cb(peer)
         return peer
@@ -220,22 +240,26 @@ class LocalNode:
     # --- dispatch -------------------------------------------------------
 
     def _receive_loop(self, peer: RemoteNode) -> None:
+        """Dispatch `peer`'s commands until its link ends, then tear it down,
+        also when a handler raises (the error goes on up the thread)."""
         conn = peer.connection
-        while not self._closed:
-            try:
-                header = conn.recv(_FRAME.size)
-                length, cmd_type, request_id = _FRAME.unpack(header)
-                payload = conn.recv(length - 6) if length > 6 else b""
-            except (TransportError, OSError):
-                break
-            self.dispatch(peer, cmd_type, request_id, payload)
-        peer.close()
-        peer.alive = False
-        with self._lock:
-            self._peers.pop(peer.node_id, None)
-        self._fail_waiters(peer)
-        for cb in list(self.peer_disconnected_callbacks):
-            cb(peer)
+        try:
+            while not self._closed:
+                try:
+                    header = conn.recv(_FRAME.size)
+                    length, cmd_type, request_id = _FRAME.unpack(header)
+                    payload = conn.recv(length - 6) if length > 6 else b""
+                except (TransportError, OSError):
+                    break
+                self.dispatch(peer, cmd_type, request_id, payload)
+        finally:
+            peer.close()
+            peer.alive = False
+            with self._lock:
+                self._peers.pop(peer.node_id, None)
+            self._fail_waiters(peer)
+            for cb in list(self.peer_disconnected_callbacks):
+                cb(peer)
 
     def dispatch(self, peer: Optional[RemoteNode], cmd_type: int, request_id: int, payload: bytes) -> None:
         """Hand one received command to its handler, or resolve the request it answers."""

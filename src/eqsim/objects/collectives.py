@@ -137,14 +137,19 @@ class DistributedQueue:
     """Single-producer FIFO; items are handed to one consumer at a time.
 
     Each request of a consumer after its first acknowledges the oldest item
-    sent to it.  Unacknowledged items go back to the head of the queue, in
-    order, when their consumer is lost, and the end waits for them.
+    sent to it.  A waiting consumer holds one credit count: its requests
+    add to it, and the counts are served in the order they were opened,
+    each until it is spent or the queue is empty, so a consumer's later
+    credits queue with its earlier ones.  Unacknowledged items go back to
+    the head of the queue, in order, when their consumer is lost, and the
+    end waits for them; then each consumer that holds credits gets one end
+    frame.
     """
 
     def __init__(self, manager: ObjectManager):
         self.queue_id = uuid.uuid4()
         self._items: deque[bytes] = deque()
-        self._pending: deque = deque()  # (peer, credits) served as items arrive
+        self._pending: dict[RemoteNode, int] = {}  # consumer -> credits, served as items arrive
         self._handed: dict[RemoteNode, deque[bytes]] = {}  # consumer -> items it has not acknowledged
         self._closed = False
         self._lock = threading.Lock()
@@ -168,20 +173,19 @@ class DistributedQueue:
             handed = self._handed.setdefault(cmd.peer, deque())
             if handed:
                 handed.popleft()  # popped, since a consumer pops in order
-            self._pending.append((cmd.peer, credits))
+            self._pending[cmd.peer] = self._pending.get(cmd.peer, 0) + credits
             self._dispatch()
 
     def _peer_lost(self, peer: RemoteNode) -> None:
         with self._lock:
             self._items.extendleft(reversed(self._handed.pop(peer, ())))
-            self._pending = deque(p for p in self._pending if p[0] is not peer)
+            self._pending.pop(peer, None)
             self._dispatch()
 
     def _dispatch(self) -> None:
         """Send what the pending credits take.  Runs under the lock, so each
         consumer receives its items in the order they are recorded."""
-        while self._pending:
-            peer, credits = self._pending.popleft()
+        for peer, credits in list(self._pending.items()):
             handed = self._handed[peer]
             while credits and self._items:
                 handed.append(self._items.popleft())
@@ -189,9 +193,10 @@ class DistributedQueue:
                 credits -= 1
             if credits:
                 if not self._closed or any(self._handed.values()):
-                    self._pending.appendleft((peer, credits))
+                    self._pending[peer] = credits
                     return
                 self._send(peer, _ITEM_END, b"")
+            del self._pending[peer]
 
     def _send(self, peer: RemoteNode, flags: int, item: bytes) -> None:
         try:

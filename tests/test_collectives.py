@@ -18,6 +18,7 @@ from eqsim.objects import (
     QueueConsumer,
     QueueError,
 )
+from eqsim.objects.collectives import _ITEM_END
 from eqsim.objects.manager import CMD_OBJ_LOCATE, CMD_OBJ_PUSH
 
 from _cluster import Cluster, Doc
@@ -235,6 +236,29 @@ def _wait_until(predicate, timeout=5):
     while not predicate() and time.monotonic() < deadline:
         time.sleep(0.005)
     assert predicate()
+
+
+def test_queue_sends_a_consumer_one_end_frame():
+    with Cluster(2) as c:
+        q = DistributedQueue(c.managers[0])
+        items = [bytes([i]) for i in range(4)]
+        for item in items:
+            q.push(item)
+        q.close()
+        consumer = QueueConsumer(c.managers[1], q.queue_id, prefetch=8)
+        # the end waits for the four acknowledgements, so no end frame
+        # arrives before the count starts
+        ends, on_command = [], consumer._on_command
+
+        def count_ends(cmd):
+            if cmd.payload[16] & _ITEM_END:
+                ends.append(cmd)
+            on_command(cmd)
+
+        consumer._on_command = count_ends
+        assert [consumer.pop(timeout=5) for _ in range(5)] == [*items, None]
+        time.sleep(0.2)  # any further end frame has arrived
+        assert len(ends) == 1
 
 
 def test_queue_close_ends_every_waiting_consumer():

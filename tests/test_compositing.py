@@ -1,7 +1,9 @@
 """Properties of ROI detection, compositing and pixel-task generation.
 
 `oracle_composite` is a per-pixel Python loop over the rules that
-`eqsim.compound.compositing` documents; `composite` must match it exactly.
+`eqsim.compound.compositing` documents (each input contributes the
+pixels it owns, averaged, merged by depth or pasted); `composite` must
+match it exactly.
 """
 
 from pathlib import Path
@@ -53,15 +55,13 @@ def oracle_composite(inputs, width, height):
             continue
         for y in range(roi.y, roi.y + roi.h):
             for x in range(roi.x, roi.x + roi.w):
+                if not pixel_owner(task.pixel, x, y):
+                    continue
                 v = int(image.values[y - image.rect.y, x - image.rect.x])
                 d = float(image.depth[y - image.rect.y, x - image.rect.x])
                 if not task.subpixel.identity:
                     s, n, near = samples.get((x, y), (0, 0, np.inf))
                     samples[(x, y)] = (s + v, n + 1, min(near, d))
-                elif not task.pixel.identity:
-                    p = task.pixel
-                    if x % p.x_count == p.x_offset and y % p.y_count == p.y_offset:
-                        values[y][x], depth[y][x] = v, d
                 elif task.range_ != Range():
                     if d < depth[y][x]:
                         values[y][x], depth[y][x] = v, d
@@ -138,6 +138,57 @@ def test_pixel_ownership_with_unaligned_roi_origins(size, x_count, y_count, data
             p = PixelParam(x_offset, y_offset, x_count, y_count)
             inputs.append((data.draw(images(rect)), task(frame, pixel=p)))
     check(inputs, width, height)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    frame_sizes, st.sampled_from(["db", "subpixel"]), st.integers(2, 3), st.integers(1, 2), st.integers(1, 3), st.data()
+)
+def test_pixel_ownership_holds_under_ranges_and_samples(size, mode, n, x_count, y_count, data):
+    # every database range or subpixel sample is split again by pixel
+    width, height = size
+    frame = PixelRect(0, 0, width, height)
+    inputs = []
+    for i in range(n):
+        split = {"range_": Range(i / n, (i + 1) / n)} if mode == "db" else {"subpixel": SubpixelParam(i, n)}
+        for y_offset in range(y_count):
+            for x_offset in range(x_count):
+                x = data.draw(st.integers(0, width - 1))
+                y = data.draw(st.integers(0, height - 1))
+                rect = PixelRect(x, y, data.draw(st.integers(1, width - x)), data.draw(st.integers(1, height - y)))
+                p = PixelParam(x_offset, y_offset, x_count, y_count)
+                inputs.append((data.draw(images(rect)), task(frame, pixel=p, **split)))
+    check(data.draw(st.permutations(inputs)), width, height)
+
+
+def test_database_halves_split_by_pixel_merge_by_depth():
+    # two DB halves, each split 2x1 by pixel and each leaf drawing the whole
+    # frame: the near half (id 2, depth 1) wins over the far half (id 1,
+    # depth 5) although the far half is composited last
+    frame = PixelRect(0, 0, 8, 2)
+    inputs = []
+    for range_, ident, z in ((Range(0.0, 0.5), 2, 1.0), (Range(0.5, 1.0), 1, 5.0)):
+        for x_offset in range(2):
+            image = Image(frame, np.full((2, 8), ident, dtype=np.int32), np.full((2, 8), z))
+            inputs.append((image, task(frame, range_=range_, pixel=PixelParam(x_offset, 0, 2, 1))))
+    out = composite(inputs, (8, 2))
+    assert (out.values == 2).all() and (out.depth == 1.0).all()
+
+
+def test_subpixel_samples_split_by_pixel_average_only_owned_pixels():
+    # two samples, each split 2x1 by pixel; a leaf draws its sample's id at
+    # the pixels it owns and background at the others
+    frame = PixelRect(0, 0, 8, 2)
+    inputs = []
+    for index, ident in ((0, 4), (1, 6)):
+        for x_offset in range(2):
+            values = np.zeros((2, 8), dtype=np.int32)
+            values[:, x_offset::2] = ident
+            depth = np.where(values != 0, float(ident), np.inf)
+            split = {"subpixel": SubpixelParam(index, 2), "pixel": PixelParam(x_offset, 0, 2, 1)}
+            inputs.append((Image(frame, values, depth), task(frame, **split)))
+    out = composite(inputs, (8, 2))
+    assert (out.values == 5).all() and (out.depth == 4.0).all()
 
 
 @settings(max_examples=60, deadline=None)

@@ -307,9 +307,83 @@ def test_close_ends_accept_and_pending_handshakes_at_once():
         t0 = time.monotonic()
         hub.close()
         assert time.monotonic() - t0 < 0.5
+        assert silent.recv(16) == hub.node_id.bytes  # each end sends its id first
         assert silent.recv(1) == b""  # the hub closed its end
     finally:
         silent.close()
+
+
+def test_close_ends_a_connecting_handshake_at_once(monkeypatch):
+    monkeypatch.setattr(node_module, "HANDSHAKE_TIMEOUT", 2.0)
+    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    server.bind(("127.0.0.1", 0))
+    server.listen(1)  # the kernel completes the connect; nobody ever answers
+    node = LocalNode()
+    closer = threading.Timer(0.2, node.close)
+    try:
+        closer.start()
+        t0 = time.monotonic()
+        with pytest.raises(ConnectionClosedError):
+            node.connect_to(ConnectionDescription(TCP, "127.0.0.1", server.getsockname()[1]))
+        assert time.monotonic() - t0 < 0.2 + 0.25
+        assert node.peers == []
+    finally:
+        closer.join(timeout=5)
+        node.close()
+        server.close()
+
+
+def test_a_closed_node_connects_to_no_one():
+    hub, other = LocalNode("hub"), LocalNode("other")
+    desc = pipe_desc()
+    hub.listen(desc)
+    registered = []
+    hub.peer_connected_callbacks.append(registered.append)
+    other.close()
+    try:
+        with pytest.raises(ConnectionClosedError):
+            other.connect_to(desc)
+        time.sleep(0.2)  # the hub has run its end of the handshake
+        assert registered == [] and hub.peers == [] and other.peers == []
+    finally:
+        hub.close()
+
+
+def test_a_second_link_between_two_nodes_is_refused_on_both_ends():
+    a, b = LocalNode("a"), LocalNode("b")
+    desc_a, desc_b = pipe_desc(), pipe_desc()
+    a.listen(desc_a)
+    b.listen(desc_b)
+    lost = []
+    for node in (a, b):
+        node.peer_disconnected_callbacks.append(lost.append)
+    a.register_handler(CMD_PING, lambda cmd: cmd.reply(b"pong"))
+    try:
+        first = b.connect_to(desc_a)
+        wait_until(lambda: len(a.peers) == 1)
+        with pytest.raises(ConnectError, match="already connected"):
+            a.connect_to(desc_b)
+        time.sleep(0.1)  # b has run its end of the refused handshake
+        assert [p.node_id for p in a.peers] == [b.node_id]
+        assert b.peers == [first]
+        assert first.request(CMD_PING, b"", timeout=2) == b"pong"
+        assert lost == []
+    finally:
+        a.close()
+        b.close()
+
+
+def test_a_node_does_not_connect_to_itself():
+    node = LocalNode("self")
+    desc = pipe_desc()
+    node.listen(desc)
+    try:
+        with pytest.raises(ConnectError, match="itself"):
+            node.connect_to(desc)
+        time.sleep(0.1)  # the accepting end has refused the link too
+        assert node.peers == []
+    finally:
+        node.close()
 
 
 def open_sockets() -> int:
@@ -376,6 +450,13 @@ def test_shared_bucket_paces_concurrent_senders_at_its_rate():
 
 CMD_PING = 10
 CMD_LOG = 11
+
+
+def wait_until(predicate, timeout=5):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert predicate()
 
 
 def make_node_pair():
@@ -521,6 +602,30 @@ def test_pending_request_fails_at_once_when_connection_lost(closing):
         peer.request(CMD_PING, b"", timeout=3)  # a later request fails at once too
     a.close()
     b.close()
+
+
+def test_a_raising_handler_ends_its_link_on_both_nodes(monkeypatch):
+    errors = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: errors.append(args.exc_value))
+    a, b, peer = make_node_pair()
+    error = RuntimeError("handler bug")
+
+    def fail(cmd: Command):
+        raise error
+
+    a.register_handler(CMD_LOG, fail)
+    a.register_handler(CMD_PING, lambda cmd: cmd.reply(b""))
+    try:
+        peer.send_command(CMD_LOG, b"")
+        t0 = time.monotonic()
+        with pytest.raises(ConnectionClosedError):
+            peer.request(CMD_PING, b"", timeout=1.0)
+        assert time.monotonic() - t0 < 0.5
+        wait_until(lambda: errors and not a.peers and not b.peers)
+        assert errors == [error]  # the receive thread still reports the bug
+    finally:
+        a.close()
+        b.close()
 
 
 def test_loopback_dispatches_in_the_sending_thread_and_dies_with_its_node():
